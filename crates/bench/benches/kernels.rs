@@ -16,7 +16,7 @@ use fpdq_kernels::{
     TwoFourWeights,
 };
 use fpdq_tensor::matmul::{dot, gemm_nt_serial_with_as, NT_NR};
-use fpdq_tensor::parallel::parallel_rows;
+use fpdq_tensor::parallel::{num_threads, parallel_rows, parallel_rows_in};
 use fpdq_tensor::simd;
 use fpdq_tensor::Tensor;
 use rand::rngs::StdRng;
@@ -572,6 +572,23 @@ fn bench_sd_cfg_step(c: &mut Criterion) {
     *c = saved;
 }
 
+/// The cost of one parallel call on its own: two empty chunks, so the
+/// time is all dispatch — handing a chunk to another thread and waiting
+/// for it. The packed conv's channel-parallel regime pays this twice per
+/// image per layer, and small-batch serving steps are dominated by it.
+fn bench_parallel_dispatch(c: &mut Criterion) {
+    let mut out = vec![0.0f32; 2];
+    let mut g = c.benchmark_group("parallel");
+    g.bench_function("dispatch_2chunks_empty", |b| {
+        b.iter(|| {
+            parallel_rows_in(2, black_box(&mut out), 2, 1, 1, |start, chunk| {
+                black_box((start, chunk));
+            })
+        })
+    });
+    g.finish();
+}
+
 fn configured() -> Criterion {
     // FPDQ_BENCH_FAST=1 is the CI smoke mode: one sample per benchmark,
     // minimal budgets — enough to prove every kernel still runs and the
@@ -593,7 +610,8 @@ criterion_group! {
     name = kernels;
     config = configured();
     targets = bench_quantize, bench_pack, bench_gemm, bench_gemm_batched, bench_conv,
-        bench_conv_batched, bench_sparse, bench_cold_start, bench_sd_cfg_step
+        bench_conv_batched, bench_sparse, bench_cold_start, bench_sd_cfg_step,
+        bench_parallel_dispatch
 }
 
 fn main() {
@@ -609,7 +627,9 @@ fn main() {
     let path = root.join(
         std::env::var("FPDQ_BENCH_JSON").unwrap_or_else(|_| "BENCH_kernels.json".to_string()),
     );
+    let threads = num_threads().to_string();
     let meta = [
+        ("threads", threads.as_str()),
         ("isa", simd::active().name()),
         ("detected_isa", simd::detected().name()),
         ("force_scalar", if simd::force_scalar() { "1" } else { "0" }),

@@ -133,7 +133,7 @@ impl Value {
 
     /// Parses a complete JSON document (trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Value, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { text, bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
@@ -161,6 +161,7 @@ fn write_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -314,14 +315,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so slicing
-                    // on char boundaries is safe via chars()).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| JsonError::new("invalid utf-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty rest");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape.
+                    // Both are ASCII, so they never split a multi-byte
+                    // character of the `&str` input.
+                    let rest = &self.text[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -374,6 +374,18 @@ mod tests {
     fn depth_cap_holds() {
         let bomb = "[".repeat(10_000) + &"]".repeat(10_000);
         assert!(Value::parse(&bomb).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        // Multi-byte characters next to escapes, repeated into a string far
+        // longer than any wire message: a parser that rescans the rest of
+        // the input per character would take minutes here.
+        let unit = "h\u{e9}llo \"w\u{f6}rld\" \u{2713} \\ ";
+        let text = unit.repeat(1 << 14);
+        let doc = format!("{{\"s\": {}}}", Value::String(text.clone()).to_json());
+        let parsed = Value::parse(&doc).unwrap();
+        assert_eq!(parsed.get("s"), Some(&Value::String(text)));
     }
 
     #[test]

@@ -28,6 +28,13 @@ pub trait Deserialize: Sized {
     fn from_value(value: &json::Value) -> Result<Self, json::JsonError>;
 }
 
+/// The largest integer `n` for which the JSON layer's `f64` numbers hold
+/// `n` and every integer below it exactly, `2^53 - 1`. Integer text above it
+/// can parse to a neighbouring integer (`2^53 + 1` reads as `2^53`), so the
+/// integer impls reject anything larger instead of returning a value the
+/// sender never wrote.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_991.0;
+
 macro_rules! int_impls {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
@@ -38,9 +45,9 @@ macro_rules! int_impls {
         impl Deserialize for $t {
             fn from_value(value: &json::Value) -> Result<Self, json::JsonError> {
                 let n = value.as_number()?;
-                if n.fract() != 0.0 || n < 0.0 || n > <$t>::MAX as f64 {
+                if n.fract() != 0.0 || n < 0.0 || n > (<$t>::MAX as f64).min(MAX_EXACT_INT) {
                     return Err(json::JsonError::new(format!(
-                        "expected a {} integer, got {n}",
+                        "expected a {} integer in 0..=2^53-1, got {n}",
                         stringify!($t)
                     )));
                 }
@@ -158,6 +165,22 @@ mod tests {
         }
         assert!(u64::from_value(&json::Value::Number(-1.0)).is_err());
         assert!(u64::from_value(&json::Value::Number(1.5)).is_err());
+    }
+
+    #[test]
+    fn integers_beyond_exact_f64_range_are_rejected() {
+        let max = (1u64 << 53) - 1;
+        assert_eq!(u64::from_value(&max.to_value()).unwrap(), max);
+        assert_eq!(usize::from_value(&json::Value::Number(MAX_EXACT_INT)).unwrap(), max as usize);
+        // `2^53 + 1` parses to `2^53`, so `2^53` itself may stand for a
+        // different integer on the wire; `2^53 + 2` is exact but too large.
+        for n in [1u64 << 53, (1 << 53) + 2, u64::MAX] {
+            assert!(u64::from_value(&json::Value::Number(n as f64)).is_err(), "{n}");
+        }
+        let parsed = json::Value::parse("9007199254740993").unwrap();
+        assert!(u64::from_value(&parsed).is_err());
+        // Narrow types keep their own, smaller bound.
+        assert!(u32::from_value(&json::Value::Number(u32::MAX as f64 + 1.0)).is_err());
         for v in [0.0f32, -1.5, 7.5, f32::MIN_POSITIVE] {
             assert_eq!(f32::from_value(&v.to_value()).unwrap().to_bits(), v.to_bits());
         }

@@ -65,13 +65,50 @@ const PAD_LANES: usize = 8;
 /// expression as [`IntFormat::quantize_scalar`]), or the FP bucket index.
 #[derive(Clone, Debug)]
 enum FastPath {
-    /// Bucketed boundary search (FP formats): `lo[t]` counts boundaries
-    /// in buckets below `t`; `pad` stores each bucket's boundaries in a
-    /// fixed `pad_w`-wide stripe (padded with `+∞`), so the per-element
-    /// count is a branch-free fixed-width sweep the compiler vectorises.
-    Buckets { lo: Vec<u32>, pad: Vec<f32>, pad_w: usize },
+    /// Bucketed boundary search (FP formats).
+    Buckets(BucketIndex),
     /// Direct affine rounding (INT formats).
     Affine { scale: f32, zero_point: f32, qmax: f32 },
+}
+
+/// The FP slice path's index: `lo[t]` counts boundaries in buckets below
+/// `t`; `pad` stores each bucket's boundaries in a fixed `pad_w`-wide
+/// stripe (padded with `+∞`), so the per-element count is a branch-free
+/// fixed-width sweep the compiler vectorises. Buckets hold negative inputs
+/// below `BUCKETS / 2` and non-negative ones from it on; in each half only
+/// the run of `span[h]` buckets from `first[h]` that holds its boundaries
+/// (a format's binades, a few dozen buckets in all) gets stripes of its
+/// own. Every other bucket sweeps the one all-`+∞` stripe stored last.
+#[derive(Clone, Debug)]
+struct BucketIndex {
+    lo: Vec<u32>,
+    first: [usize; 2],
+    span: [usize; 2],
+    pad: Vec<f32>,
+    pad_w: usize,
+}
+
+impl BucketIndex {
+    /// The stripe number of bucket `t`: the negative half's run, then the
+    /// non-negative half's run, then the shared `+∞` stripe.
+    #[inline]
+    fn stripe_of(first: [usize; 2], span: [usize; 2], t: usize) -> usize {
+        let h = t / (BUCKETS / 2);
+        // Buckets below `first[h]` wrap to huge offsets and miss too.
+        let off = t.wrapping_sub(first[h]);
+        if off < span[h] {
+            h * span[0] + off
+        } else {
+            span[0] + span[1]
+        }
+    }
+
+    /// The `+∞`-padded boundaries of bucket `t`, `pad_w` long.
+    #[inline]
+    fn stripe(&self, t: usize) -> &[f32] {
+        let s = Self::stripe_of(self.first, self.span, t);
+        &self.pad[s * self.pad_w..(s + 1) * self.pad_w]
+    }
 }
 
 /// A precomputed signed boundary table for one quantizer, bit-exact
@@ -228,8 +265,8 @@ impl BoundaryQuantizer {
     /// `lo[t]` = number of boundaries whose order-key top-9-bits are
     /// below `t`, so bucket `t` owns at most one sign+binade of entries
     /// (≤ 2^m + 1 for an FP format). Those entries are copied into a
-    /// fixed-width `pad` stripe per bucket, `+∞`-padded, so the slice
-    /// path counts them without a data-dependent loop bound.
+    /// fixed-width `pad` stripe per occupied bucket, `+∞`-padded, so the
+    /// slice path counts them without a data-dependent loop bound.
     fn build_buckets(boundaries: &[f32]) -> FastPath {
         let mut lo = vec![0u32; BUCKETS + 1];
         for &b in boundaries {
@@ -241,12 +278,20 @@ impl BoundaryQuantizer {
         }
         let widest = (0..BUCKETS).map(|t| (lo[t + 1] - lo[t]) as usize).max().unwrap_or(0);
         let pad_w = widest.next_multiple_of(PAD_LANES).max(PAD_LANES);
-        let mut pad = vec![f32::INFINITY; BUCKETS * pad_w];
+        let (mut first, mut span) = ([0; 2], [0; 2]);
+        for h in 0..2 {
+            let half = h * BUCKETS / 2..(h + 1) * BUCKETS / 2;
+            let occupied: Vec<usize> = half.filter(|&t| lo[t + 1] > lo[t]).collect();
+            if let (Some(&a), Some(&b)) = (occupied.first(), occupied.last()) {
+                (first[h], span[h]) = (a, b - a + 1);
+            }
+        }
+        let mut pad = vec![f32::INFINITY; (span[0] + span[1] + 1) * pad_w];
         for (i, &b) in boundaries.iter().enumerate() {
             let t = (order_key(b) >> 23) as usize;
-            pad[t * pad_w + (i - lo[t] as usize)] = b;
+            pad[BucketIndex::stripe_of(first, span, t) * pad_w + (i - lo[t] as usize)] = b;
         }
-        FastPath::Buckets { lo, pad, pad_w }
+        FastPath::Buckets(BucketIndex { lo, first, span, pad, pad_w })
     }
 
     /// The representable values, ascending.
@@ -311,22 +356,13 @@ impl BoundaryQuantizer {
                     };
                 }
             }
-            FastPath::Buckets { lo, pad, pad_w } => {
-                let pad_w = *pad_w;
+            FastPath::Buckets(index) => {
                 #[cfg(target_arch = "x86_64")]
                 if isa == Isa::Avx2 && isa.is_supported() {
                     // Safety: AVX2 (and POPCNT, which detection implies)
                     // verified at runtime; lengths asserted above.
                     unsafe {
-                        avx2::quantize_buckets(
-                            &self.values,
-                            lo,
-                            pad,
-                            pad_w,
-                            self.nan_value,
-                            src,
-                            dst,
-                        );
+                        avx2::quantize_buckets(&self.values, index, self.nan_value, src, dst);
                     }
                     return;
                 }
@@ -341,8 +377,8 @@ impl BoundaryQuantizer {
                         // by construction, and the `+∞` padding never
                         // counts. Fixed 8-lane blocks keep the sweep
                         // vectorisable.
-                        let mut idx = lo[t] as usize;
-                        for block in pad[t * pad_w..(t + 1) * pad_w].chunks_exact(PAD_LANES) {
+                        let mut idx = index.lo[t] as usize;
+                        for block in index.stripe(t).chunks_exact(PAD_LANES) {
                             let mut cnt = 0usize;
                             for &b in block {
                                 cnt += usize::from(b <= v);
@@ -379,15 +415,13 @@ mod avx2 {
     /// # Safety
     ///
     /// Requires AVX2 + POPCNT at runtime; `src`/`dst` must have equal
-    /// lengths and `pad` must be `BUCKETS * pad_w` long with `pad_w` a
-    /// multiple of [`super::PAD_LANES`] (guaranteed by
+    /// lengths and `index.pad_w` must be a multiple of
+    /// [`super::PAD_LANES`] (guaranteed by
     /// [`super::BoundaryQuantizer::build_buckets`]).
     #[target_feature(enable = "avx2,popcnt")]
     pub(super) unsafe fn quantize_buckets(
         values: &[f32],
-        lo: &[u32],
-        pad: &[f32],
-        pad_w: usize,
+        index: &super::BucketIndex,
         nan_value: f32,
         src: &[f32],
         dst: &mut [f32],
@@ -399,9 +433,8 @@ mod avx2 {
                 let v = v.clamp(-f32::MAX, f32::MAX);
                 let t = (order_key(v) >> 23) as usize;
                 let vv = _mm256_set1_ps(v);
-                let mut idx = lo[t] as usize;
-                let stripe = &pad[t * pad_w..(t + 1) * pad_w];
-                for block in stripe.chunks_exact(super::PAD_LANES) {
+                let mut idx = index.lo[t] as usize;
+                for block in index.stripe(t).chunks_exact(super::PAD_LANES) {
                     // b <= v is false for the +∞ padding and for NaN-free
                     // inputs exactly matches the scalar `b <= v` count.
                     let b = _mm256_loadu_ps(block.as_ptr());
@@ -583,6 +616,24 @@ mod tests {
         let mut out = [1.0f32; 2];
         iq.quantize_slice_into(&[f32::NAN, f32::NAN], &mut out);
         assert_eq!(out[0], ifmt.quantize_scalar(f32::NAN));
+    }
+
+    #[test]
+    fn fp_tables_store_stripes_only_for_occupied_buckets() {
+        // Every cached activation table stays resident for the process, so
+        // empty buckets must share one stripe instead of taking 512.
+        let bq = BoundaryQuantizer::from_fp(FpFormat::new(4, 3));
+        let FastPath::Buckets(index) = &bq.fast else {
+            panic!("FP formats take the bucket path");
+        };
+        let lo = &index.lo;
+        let occupied = (0..BUCKETS).filter(|&t| lo[t + 1] > lo[t]).count();
+        let stripes = index.span[0] + index.span[1];
+        assert_eq!(index.pad.len(), (stripes + 1) * index.pad_w);
+        assert!(stripes < occupied + 8, "{stripes} stripes for {occupied} occupied buckets");
+        for t in (0..BUCKETS).filter(|&t| lo[t + 1] == lo[t]) {
+            assert!(index.stripe(t).iter().all(|&b| b == f32::INFINITY), "bucket {t}");
+        }
     }
 
     #[test]

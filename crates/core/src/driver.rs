@@ -3,18 +3,19 @@
 //! Pipeline (paper §V / §VI-A):
 //!
 //! 1. With the model still in full precision, capture every layer's
-//!    activations on the initialization dataset (for the activation format
-//!    search) and on the calibration dataset (as rounding-learning
-//!    references).
+//!    activations on the initialization dataset and search each layer's
+//!    input format on them right away (so the captures need not be held),
+//!    then capture the calibration dataset's activations as
+//!    rounding-learning references.
 //! 2. **Weights first**, layer by layer in breadth-first model order
 //!    (Algorithm 1's greedy order): search the per-tensor format, then —
 //!    for low-bitwidth FP — learn the rounding against the FP32 layer
 //!    outputs using the *partially quantized* model's inputs, and bake the
 //!    quantized weights in place.
-//! 3. **Then activations**: search each layer's input format on the
-//!    initialization activations and install runtime fake-quantizers into
-//!    the layer taps, quantizing the skip-connection half of concatenated
-//!    inputs separately (Q-Diffusion's split trick, applied to FP too).
+//! 3. **Then activations**: install the searched formats as runtime
+//!    fake-quantizers into the layer taps, quantizing the skip-connection
+//!    half of concatenated inputs separately (Q-Diffusion's split trick,
+//!    applied to FP too).
 //! 4. Report per-layer choices, errors and sparsity.
 
 use crate::calib::{capture_layer_inputs, CalibrationSet};
@@ -24,6 +25,7 @@ use crate::search::{search_fp_format, search_int_format, PAPER_BIAS_CANDIDATES};
 use fpdq_nn::{QuantKind, UNet};
 use fpdq_tensor::Tensor;
 use rand::rngs::StdRng;
+use std::collections::HashMap;
 
 /// Which number system to quantize into.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -238,6 +240,52 @@ fn search_act(samples: &[&Tensor], cfg: &PtqConfig) -> crate::search::SearchResu
     }
 }
 
+/// One layer's searched activation formats: one for its whole input, or
+/// one each for the trunk and skip halves of a concatenated input.
+#[derive(Clone, Copy)]
+enum ActFormats {
+    Whole(TensorQuantizer),
+    Split { trunk: TensorQuantizer, skip: TensorQuantizer },
+}
+
+/// Searches every captured layer's activation formats. The search reads
+/// only the full-precision captures, so running it before the weight
+/// phase gives the same formats as running it after, and lets the
+/// captures be dropped before the memory-heaviest phase.
+fn search_act_formats(
+    unet: &UNet,
+    acts: &HashMap<String, Vec<Tensor>>,
+    cfg: &PtqConfig,
+) -> HashMap<String, ActFormats> {
+    let mut found = HashMap::new();
+    unet.visit_quant_layers(&mut |layer| {
+        let Some(samples) = acts.get(layer.qname()).filter(|s| !s.is_empty()) else { return };
+        let axis = match layer.kind() {
+            QuantKind::Conv => 1,
+            QuantKind::Linear => samples[0].ndim() - 1,
+        };
+        let formats = match (cfg.split_skip_quant, layer.concat_split()) {
+            (true, Some(split)) if split < samples[0].dim(axis) => {
+                let trunk: Vec<Tensor> = samples.iter().map(|s| s.narrow(axis, 0, split)).collect();
+                let skip: Vec<Tensor> =
+                    samples.iter().map(|s| s.narrow(axis, split, s.dim(axis) - split)).collect();
+                let trunk_refs: Vec<&Tensor> = trunk.iter().collect();
+                let skip_refs: Vec<&Tensor> = skip.iter().collect();
+                ActFormats::Split {
+                    trunk: search_act(&trunk_refs, cfg).quantizer,
+                    skip: search_act(&skip_refs, cfg).quantizer,
+                }
+            }
+            _ => {
+                let refs: Vec<&Tensor> = samples.iter().collect();
+                ActFormats::Whole(search_act(&refs, cfg).quantizer)
+            }
+        };
+        found.insert(layer.qname().to_string(), formats);
+    });
+    found
+}
+
 /// Applies the paper's full PTQ method to a U-Net **in place**: weights
 /// are overwritten with their quantized values and activation
 /// fake-quantizers are installed into the layer taps.
@@ -251,8 +299,8 @@ pub fn quantize_unet(
     rng: &mut StdRng,
 ) -> QuantReport {
     // Phase 0: capture full-precision activations before touching weights.
-    let init_acts = if cfg.quantize_acts {
-        capture_layer_inputs(unet, &calib.init, None)
+    let act_formats = if cfg.quantize_acts {
+        search_act_formats(unet, &capture_layer_inputs(unet, &calib.init, None), cfg)
     } else {
         Default::default()
     };
@@ -347,54 +395,33 @@ pub fn quantize_unet(
     }
 
     // Phase B: activation quantizers, installed after all weights baked.
-    if cfg.quantize_acts {
-        for rep in &mut report.layers {
-            let Some(samples) = init_acts.get(&rep.name) else { continue };
-            if samples.is_empty() {
-                continue;
+    for rep in &mut report.layers {
+        let Some(&formats) = act_formats.get(&rep.name) else { continue };
+        unet.visit_quant_layers(&mut |layer| {
+            if layer.qname() != rep.name {
+                return;
             }
-            unet.visit_quant_layers(&mut |layer| {
-                if layer.qname() != rep.name {
-                    return;
+            let mut tap = layer.tap().borrow_mut();
+            match formats {
+                ActFormats::Split { trunk, skip } => {
+                    rep.act_quantizer = Some(trunk.describe());
+                    rep.act_quantizer_skip = Some(skip.describe());
+                    // Record both formats so the container can rebuild
+                    // the taps; the fused-kernel filter in `fpdq-kernels`
+                    // skips layers whose skip tap is populated, so
+                    // setting `act_format` here does not change packing.
+                    rep.act_format = Some(trunk);
+                    rep.act_format_skip = Some(skip);
+                    tap.act_quant = Some(trunk.into_act_fn());
+                    tap.act_quant_skip = Some(skip.into_act_fn());
                 }
-                let axis = match layer.kind() {
-                    QuantKind::Conv => 1,
-                    QuantKind::Linear => samples[0].ndim() - 1,
-                };
-                match (cfg.split_skip_quant, layer.concat_split()) {
-                    (true, Some(split)) if split < samples[0].dim(axis) => {
-                        let trunk: Vec<Tensor> =
-                            samples.iter().map(|s| s.narrow(axis, 0, split)).collect();
-                        let skip: Vec<Tensor> = samples
-                            .iter()
-                            .map(|s| s.narrow(axis, split, s.dim(axis) - split))
-                            .collect();
-                        let trunk_refs: Vec<&Tensor> = trunk.iter().collect();
-                        let skip_refs: Vec<&Tensor> = skip.iter().collect();
-                        let qt = search_act(&trunk_refs, cfg);
-                        let qs = search_act(&skip_refs, cfg);
-                        rep.act_quantizer = Some(qt.quantizer.describe());
-                        rep.act_quantizer_skip = Some(qs.quantizer.describe());
-                        // Record both formats so the container can rebuild
-                        // the taps; the fused-kernel filter in `fpdq-kernels`
-                        // skips layers whose skip tap is populated, so
-                        // setting `act_format` here does not change packing.
-                        rep.act_format = Some(qt.quantizer);
-                        rep.act_format_skip = Some(qs.quantizer);
-                        let mut tap = layer.tap().borrow_mut();
-                        tap.act_quant = Some(qt.quantizer.into_act_fn());
-                        tap.act_quant_skip = Some(qs.quantizer.into_act_fn());
-                    }
-                    _ => {
-                        let refs: Vec<&Tensor> = samples.iter().collect();
-                        let q = search_act(&refs, cfg);
-                        rep.act_quantizer = Some(q.quantizer.describe());
-                        rep.act_format = Some(q.quantizer);
-                        layer.tap().borrow_mut().act_quant = Some(q.quantizer.into_act_fn());
-                    }
+                ActFormats::Whole(q) => {
+                    rep.act_quantizer = Some(q.describe());
+                    rep.act_format = Some(q);
+                    tap.act_quant = Some(q.into_act_fn());
                 }
-            });
-        }
+            }
+        });
     }
     report
 }

@@ -115,19 +115,23 @@
 //!
 //! # Threading model
 //!
-//! Parallelism comes from `fpdq_tensor::parallel` scoped-thread helpers:
-//! the GEMM splits packed weight rows or activation rows on the 4-row
-//! register-block grid (`parallel_rows_aligned`), the conv splits
-//! batches or output channels — regime chosen per call by [`schedule`]
-//! from tile counts vs. workers — and every worker owns a scratch arena
-//! (decoded weight tile, quantized activation block, quantized image,
-//! `im2col` micro-panel) so no synchronisation happens inside a tile;
-//! the pre-quantized activation panel bank, the decoded filter bank, and
-//! the channel-parallel conv's per-image lowered panel bank are built
-//! once per call and shared read-only. Worker-chunk boundaries are
-//! pinned to the block grid, which — together with the fixed-`k`-order
-//! accumulation — makes multi-threaded output bit-identical to
-//! single-threaded output. `FPDQ_THREADS` caps the worker count; the
+//! Parallelism comes from the `fpdq_tensor::parallel` row helpers, which
+//! run chunks on one persistent, process-wide worker pool plus the calling
+//! thread instead of spawning threads per call. The GEMM splits packed
+//! weight rows or activation rows on the 4-row register-block grid
+//! (`parallel_rows_aligned`), the conv splits batches or output channels —
+//! regime chosen per call by [`schedule`] from tile counts vs. workers —
+//! and every chunk owns a scratch arena (decoded weight tile, quantized
+//! activation block, quantized image, `im2col` micro-panel) so no
+//! synchronisation happens inside a tile; the pre-quantized activation
+//! panel bank, the decoded filter bank, and the channel-parallel conv's
+//! per-image lowered panel bank are built once per call and shared
+//! read-only. Chunk boundaries are pinned to the block grid, which —
+//! together with the fixed-`k`-order accumulation — makes multi-threaded
+//! output bit-identical to single-threaded output. The boundaries depend
+//! only on the requested worker count, the rows and the alignment, never
+//! on the pool size or on which pool thread runs a chunk, so the pool
+//! cannot change a bit either. `FPDQ_THREADS` caps the worker count; the
 //! `*_fused_in` entry points take an explicit count so tests and tuners
 //! can sweep schedules in one process.
 //!

@@ -112,13 +112,13 @@ pub fn pick_gemm_regime(m: usize, n: usize, workers: usize) -> GemmRegime {
 /// buffer across images). With one worker both costs coincide and the
 /// batch-parallel (single pass) schedule is used.
 ///
-/// The model deliberately counts tiles only. Channel-parallel spawns
-/// one scoped-thread region per image (`n·W` spawns vs. `W`), an
-/// overhead of microseconds per image that the model ignores; it is
-/// only chosen when it saves at least one full image's worth of tile
-/// imbalance (≥ the per-image GEMM time, orders of magnitude larger),
-/// and `n` is bounded near the worker count in this regime, so the
-/// uncounted spawns cannot flip the comparison's sign.
+/// The model deliberately counts tiles only. Channel-parallel makes
+/// parallel calls per image (`n` pool dispatches vs. one), an overhead
+/// of microseconds per image that the model ignores; it is only chosen
+/// when it saves at least one full image's worth of tile imbalance
+/// (≥ the per-image GEMM time, orders of magnitude larger), and `n` is
+/// bounded near the worker count in this regime, so the uncounted
+/// dispatches cannot flip the comparison's sign.
 pub fn pick_conv_regime(n: usize, o: usize, workers: usize) -> ConvRegime {
     let ctiles = tiles(o);
     let batch_wall = wall_tiles(n, ctiles, workers);

@@ -155,6 +155,25 @@ fn malformed_payloads_get_typed_400s_and_leave_the_server_alive() {
 }
 
 #[test]
+fn seeds_beyond_exact_json_range_get_typed_400s() {
+    // JSON numbers travel as f64: a seed above 2^53 - 1 may already have
+    // been rounded to a neighbour, so it is refused instead of sampled.
+    let handle = start(ServeConfig::default());
+    let addr = handle.addr();
+    wait_ready(addr);
+    let too_big = (1u64 << 53) + 2;
+    let (status, body) = client::post_json(addr, "/v1/generate", &gen_body(too_big, 4)).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(error_body(&body).code, "bad_request");
+    // The largest accepted seed is served exactly.
+    let max = (1u64 << 53) - 1;
+    let (status, body) = client::post_json(addr, "/v1/generate", &gen_body(max, 4)).unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(served_pixels(&body), solo_pixels(max, 4));
+    handle.shutdown();
+}
+
+#[test]
 fn injected_panic_fails_only_the_tagged_request() {
     let cfg = ServeConfig {
         max_batch: 4,
