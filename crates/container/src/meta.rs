@@ -128,7 +128,12 @@ fn req_f64(v: &Value, key: &str) -> Result<f64, FpdqError> {
 }
 
 fn req_f32(v: &Value, key: &str) -> Result<f32, FpdqError> {
-    Ok(req_f64(v, key)? as f32)
+    // A finite f64 beyond the f32 range casts to ±inf.
+    let n = req_f64(v, key)? as f32;
+    if !n.is_finite() {
+        return Err(corrupt(format!("field '{key}' is out of f32 range")));
+    }
+    Ok(n)
 }
 
 fn req_usize(v: &Value, key: &str) -> Result<usize, FpdqError> {
@@ -624,6 +629,9 @@ mod tests {
             ("\"num_res_blocks\":1", "\"num_res_blocks\":0"),
             ("\"channel_mults\":[1,2]", "\"channel_mults\":[]"),
             ("\"guidance\":3", "\"guidance\":-1"),
+            // Finite as f64, infinite once narrowed to f32.
+            ("\"guidance\":3", "\"guidance\":1e39"),
+            ("\"latent_scale\":1.75", "\"latent_scale\":1e39"),
             ("\"offset\":0", "\"offset\":63"),
         ] {
             assert!(good.contains(needle), "fixture drifted: {needle} not found");

@@ -27,9 +27,9 @@ pub mod train;
 pub mod zoo;
 
 pub use conditioning::{eps_folded, Conditioning};
-pub use pipelines::{DdimSim, LdmSim, SdSim};
-pub use sampler::{ddim_sample, ddpm_sample, DdimParams};
+pub use pipelines::{DdimSim, LdmSim, SdSim, ServeModel};
+pub use sampler::{ddim_sample, ddpm_sample_seeded, DdimParams};
 pub use schedule::NoiseSchedule;
-pub use stepper::{advance_batch, advance_batch_conditioned, DdimStepState};
+pub use stepper::{advance_batch, DdimStepState};
 pub use train::{train_autoencoder, train_text_to_image, train_unet, TrainConfig};
 pub use zoo::Zoo;

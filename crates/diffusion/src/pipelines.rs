@@ -2,26 +2,115 @@
 //! diffusion, and text-to-image latent diffusion with classifier-free
 //! guidance (Figure 1 of the paper).
 //!
+//! Each pipeline describes itself once, through [`ServeModel`]: its
+//! sample dims, schedule, `x_0` clip, noise predictor, per-request
+//! conditioning and finishing step (clamp or decode). Offline generation
+//! and the serving scheduler both sample through that description and
+//! the shared step state ([`crate::stepper`]), so a served image is
+//! byte-identical to the offline one for the same seed and conditioning.
+//!
 //! # Batched generation
 //!
-//! `generate` draws one seed per image up front and then samples in
-//! multi-image batches (`generate_batched` exposes the batch size, e.g.
-//! for `fpdq generate --batch N`): every image's content is a pure
-//! function of its own seed ([`crate::sampler`]), so the batch size is a
-//! *throughput* knob — larger batches amortise the packed engine's
-//! per-step weight decode over more images — and never changes what is
-//! generated by a given master seed.
+//! `generate_seeded` samples one image per seed in multi-image chunks of
+//! up to [`GEN_CHUNK`] images (`generate` draws the seeds from a master
+//! RNG first): every image's content is a pure function of its own seed
+//! ([`crate::sampler`]), so the batch size is a *throughput* knob —
+//! larger batches amortise the packed engine's per-step weight decode
+//! over more images — and never changes what is generated.
 
-use crate::conditioning::{
-    clamp_batch, concat_chunks, ddim_sample_seeded_conditioned, per_image_seeds, validate_steps,
-    Conditioning, GEN_CHUNK,
-};
-use crate::sampler::{ddim_sample_seeded, DdimParams};
+use crate::conditioning::Conditioning;
+use crate::sampler::DdimParams;
 use crate::schedule::NoiseSchedule;
+use crate::stepper::{run_to_completion, seeded_states};
 use fpdq_data::Tokenizer;
 use fpdq_nn::{Autoencoder, TextEncoder, UNet};
 use fpdq_tensor::{FpdqError, Tensor};
 use rand::rngs::StdRng;
+use rand::Rng;
+use std::ops::Range;
+
+/// Upper bound on the batch size used inside `generate` calls (keeps the
+/// attention intermediates small).
+pub const GEN_CHUNK: usize = 16;
+
+/// Largest guidance magnitude a request may ask for: far beyond any
+/// useful scale, and low enough that the guidance mix stays finite.
+const MAX_GUIDANCE: f32 = 1000.0;
+
+/// Per-image seeds for `n` images, drawn once from the master RNG so the
+/// images are independent of how they are later chunked into batches.
+pub fn per_image_seeds(n: usize, rng: &mut StdRng) -> Vec<u64> {
+    (0..n).map(|_| rng.gen()).collect()
+}
+
+/// What a pipeline is, as offline generation and the serving layer both
+/// need it. Implemented for the unconditional pipelines ([`DdimSim`],
+/// [`LdmSim`]) and the prompt-driven [`SdSim`]: conditioning is a
+/// first-class engine concept, so a served request's prompt is encoded
+/// **once at admission** into a [`Conditioning`] its step state carries,
+/// and the CFG double forward folds into the shared engine batch
+/// ([`crate::conditioning::eps_folded`]).
+pub trait ServeModel {
+    /// Sample dims `[c, h, w]` of the diffusion space.
+    fn chw(&self) -> [usize; 3];
+    /// The noise schedule (bounds the per-request `steps`).
+    fn schedule(&self) -> &NoiseSchedule;
+    /// `x_0` clamp during sampling (pixel pipelines clamp, latent don't).
+    fn clip_x0(&self) -> Option<f32>;
+    /// Batched noise prediction `ε(x, t, ctx)`; per-image timesteps,
+    /// optional per-row conditioning context.
+    fn eps(&self, x: &Tensor, t: &Tensor, ctx: Option<&Tensor>) -> Tensor;
+    /// Turns a request's `prompt`/`guidance` fields into the
+    /// [`Conditioning`] its step state will carry. Runs once, at
+    /// admission. Unconditional pipelines accept neither field; that is
+    /// the default implementation.
+    fn conditioning(
+        &self,
+        prompt: Option<&str>,
+        guidance: Option<f32>,
+    ) -> Result<Conditioning, FpdqError> {
+        if prompt.is_some() || guidance.is_some() {
+            return Err(FpdqError::invalid(
+                "this model is unconditional: 'prompt' and 'guidance' are not supported",
+            ));
+        }
+        Ok(Conditioning::Uncond)
+    }
+    /// Maps finished `x_0` estimates `[n, c, h, w]` to images (clamp /
+    /// decode).
+    fn finish(&self, x: &Tensor) -> Tensor;
+}
+
+/// The offline generation driver every pipeline shares: samples one image
+/// per seed in chunks of `batch` (clamped to `1..=GEN_CHUNK`) with
+/// `steps` clamped into the schedule, taking each chunk's conditioning
+/// from `conds`, and finishes each chunk.
+fn generate_chunked(
+    model: &impl ServeModel,
+    seeds: &[u64],
+    steps: usize,
+    batch: usize,
+    mut conds: impl FnMut(Range<usize>) -> Vec<Conditioning>,
+) -> Tensor {
+    let [c, h, w] = model.chw();
+    let params = DdimParams { steps, eta: 0.0, clip_x0: model.clip_x0() };
+    let batch = batch.clamp(1, GEN_CHUNK);
+    let outs: Vec<Tensor> = (0..seeds.len())
+        .step_by(batch)
+        .map(|start| {
+            let chunk = start..seeds.len().min(start + batch);
+            let chunk_seeds = &seeds[chunk.clone()];
+            let states =
+                seeded_states(model.schedule(), [c, h, w], chunk_seeds, conds(chunk), params);
+            model.finish(&run_to_completion(states, |x, t, ctx| model.eps(x, t, ctx)))
+        })
+        .collect();
+    if outs.is_empty() {
+        // Shape the empty result the way a real chunk would be finished.
+        return model.finish(&Tensor::zeros(&[0, c, h, w]));
+    }
+    Tensor::concat(&outs.iter().collect::<Vec<_>>(), 0)
+}
 
 /// Pixel-space DDIM pipeline (the paper's DDIM-on-CIFAR-10 configuration).
 #[derive(Debug)]
@@ -43,49 +132,33 @@ impl DdimSim {
     /// fixes the generated batch across quantization configurations
     /// (paper §VI-C) — and across batch sizes.
     pub fn generate(&self, n: usize, steps: usize, rng: &mut StdRng) -> Tensor {
-        self.generate_batched(n, steps, GEN_CHUNK, rng)
+        self.generate_seeded(&per_image_seeds(n, rng), steps, GEN_CHUNK)
     }
 
-    /// [`Self::generate`] with an explicit sampling batch size
-    /// (clamped to `1..=16`): `batch` images share each U-Net call.
-    pub fn generate_batched(
-        &self,
-        n: usize,
-        steps: usize,
-        batch: usize,
-        rng: &mut StdRng,
-    ) -> Tensor {
-        self.generate_seeded(&per_image_seeds(n, rng), steps, batch)
-    }
-
-    /// Generates one image per seed (see [`ddim_sample_seeded`]): the
-    /// image produced for a seed is identical whatever the batch size
-    /// and whatever the rest of the seed list.
+    /// Generates one image per seed, `batch` images per U-Net call (see
+    /// [`crate::sampler::ddim_sample_seeded`]): the image produced for a
+    /// seed is identical whatever the batch size and whatever the rest of
+    /// the seed list.
     pub fn generate_seeded(&self, seeds: &[u64], steps: usize, batch: usize) -> Tensor {
-        let mut outs = Vec::new();
-        for chunk in seeds.chunks(clamp_batch(batch)) {
-            let img = ddim_sample_seeded(
-                &self.schedule,
-                [self.channels, self.image_size, self.image_size],
-                chunk,
-                DdimParams { steps, eta: 0.0, clip_x0: Some(1.0) },
-                |x, t| self.unet.forward(x, t, None),
-            );
-            outs.push(img.clamp(-1.0, 1.0));
-        }
-        concat_chunks(outs, || Tensor::zeros(&[0, self.channels, self.image_size, self.image_size]))
+        generate_chunked(self, seeds, steps, batch, |c| vec![Conditioning::Uncond; c.len()])
     }
+}
 
-    /// Validating [`Self::generate_seeded`]: out-of-range `steps` comes
-    /// back as a typed [`FpdqError`] instead of being silently clamped.
-    pub fn try_generate_seeded(
-        &self,
-        seeds: &[u64],
-        steps: usize,
-        batch: usize,
-    ) -> Result<Tensor, FpdqError> {
-        validate_steps(&self.schedule, steps)?;
-        Ok(self.generate_seeded(seeds, steps, batch))
+impl ServeModel for DdimSim {
+    fn chw(&self) -> [usize; 3] {
+        [self.channels, self.image_size, self.image_size]
+    }
+    fn schedule(&self) -> &NoiseSchedule {
+        &self.schedule
+    }
+    fn clip_x0(&self) -> Option<f32> {
+        Some(1.0)
+    }
+    fn eps(&self, x: &Tensor, t: &Tensor, _ctx: Option<&Tensor>) -> Tensor {
+        self.unet.forward(x, t, None)
+    }
+    fn finish(&self, x: &Tensor) -> Tensor {
+        x.clamp(-1.0, 1.0)
     }
 }
 
@@ -121,55 +194,31 @@ impl LdmSim {
 
     /// Generates `n` images with `steps` DDIM steps.
     pub fn generate(&self, n: usize, steps: usize, rng: &mut StdRng) -> Tensor {
-        self.generate_batched(n, steps, GEN_CHUNK, rng)
+        self.generate_seeded(&per_image_seeds(n, rng), steps, GEN_CHUNK)
     }
 
-    /// [`Self::generate`] with an explicit sampling batch size
-    /// (clamped to `1..=16`).
-    pub fn generate_batched(
-        &self,
-        n: usize,
-        steps: usize,
-        batch: usize,
-        rng: &mut StdRng,
-    ) -> Tensor {
-        self.generate_seeded(&per_image_seeds(n, rng), steps, batch)
-    }
-
-    /// Generates one image per seed (see [`ddim_sample_seeded`]).
+    /// Generates one image per seed, `batch` images per U-Net call (see
+    /// [`DdimSim::generate_seeded`]).
     pub fn generate_seeded(&self, seeds: &[u64], steps: usize, batch: usize) -> Tensor {
-        let mut outs = Vec::new();
-        for chunk in seeds.chunks(clamp_batch(batch)) {
-            let z = ddim_sample_seeded(
-                &self.schedule,
-                [self.latent_channels, self.latent_size, self.latent_size],
-                chunk,
-                DdimParams { steps, eta: 0.0, clip_x0: None },
-                |x, t| self.unet.forward(x, t, None),
-            );
-            outs.push(self.decode_scaled(&z));
-        }
-        // Empty case: shape the result by decoding an empty latent batch.
-        concat_chunks(outs, || {
-            self.decode_scaled(&Tensor::zeros(&[
-                0,
-                self.latent_channels,
-                self.latent_size,
-                self.latent_size,
-            ]))
-        })
+        generate_chunked(self, seeds, steps, batch, |c| vec![Conditioning::Uncond; c.len()])
     }
+}
 
-    /// Validating [`Self::generate_seeded`]: out-of-range `steps` comes
-    /// back as a typed [`FpdqError`] instead of being silently clamped.
-    pub fn try_generate_seeded(
-        &self,
-        seeds: &[u64],
-        steps: usize,
-        batch: usize,
-    ) -> Result<Tensor, FpdqError> {
-        validate_steps(&self.schedule, steps)?;
-        Ok(self.generate_seeded(seeds, steps, batch))
+impl ServeModel for LdmSim {
+    fn chw(&self) -> [usize; 3] {
+        [self.latent_channels, self.latent_size, self.latent_size]
+    }
+    fn schedule(&self) -> &NoiseSchedule {
+        &self.schedule
+    }
+    fn clip_x0(&self) -> Option<f32> {
+        None
+    }
+    fn eps(&self, x: &Tensor, t: &Tensor, _ctx: Option<&Tensor>) -> Tensor {
+        self.unet.forward(x, t, None)
+    }
+    fn finish(&self, x: &Tensor) -> Tensor {
+        self.decode_scaled(x)
     }
 }
 
@@ -224,28 +273,15 @@ impl SdSim {
     /// Generates one image per prompt with `steps` DDIM steps and
     /// classifier-free guidance.
     pub fn generate(&self, prompts: &[String], steps: usize, rng: &mut StdRng) -> Tensor {
-        self.generate_batched(prompts, steps, GEN_CHUNK, rng)
+        self.generate_seeded(prompts, &per_image_seeds(prompts.len(), rng), steps, GEN_CHUNK)
     }
 
-    /// [`Self::generate`] with an explicit sampling batch size
-    /// (clamped to `1..=16`).
-    pub fn generate_batched(
-        &self,
-        prompts: &[String],
-        steps: usize,
-        batch: usize,
-        rng: &mut StdRng,
-    ) -> Tensor {
-        self.generate_seeded(prompts, &per_image_seeds(prompts.len(), rng), steps, batch)
-    }
-
-    /// Generates one image per (prompt, seed) pair (see
-    /// [`ddim_sample_seeded`]); `seeds.len()` must equal `prompts.len()`.
+    /// Generates one image per (prompt, seed) pair, `batch` images per
+    /// U-Net call (see [`DdimSim::generate_seeded`]).
     ///
     /// # Panics
     ///
-    /// Panics if the seed and prompt counts differ
-    /// ([`Self::try_generate_seeded`] is the non-panicking variant).
+    /// Panics if the seed and prompt counts differ.
     pub fn generate_seeded(
         &self,
         prompts: &[String],
@@ -254,65 +290,73 @@ impl SdSim {
         batch: usize,
     ) -> Tensor {
         assert_eq!(prompts.len(), seeds.len(), "need one seed per prompt");
-        let batch = clamp_batch(batch);
         // The null context is prompt-independent: encode it once per call
-        // (it used to be re-encoded per chunk) and share the row across
-        // every chunk's fold.
+        // and share the row across every chunk's fold.
         let null = self.null_context(1);
-        let mut outs = Vec::new();
-        for (chunk, seed_chunk) in prompts.chunks(batch).zip(seeds.chunks(batch)) {
-            let cond = self.encode_prompts(chunk);
-            let conds: Vec<Conditioning> = (0..chunk.len())
+        generate_chunked(self, seeds, steps, batch, |chunk| {
+            // Prompts encode once per chunk; both CFG halves of the chunk
+            // then run as one folded engine call per step (2n rows),
+            // bit-identical to the double forward — see
+            // `crate::conditioning`.
+            let cond = self.encode_prompts(&prompts[chunk]);
+            (0..cond.dim(0))
                 .map(|i| Conditioning::guided(cond.narrow(0, i, 1), null.clone(), self.guidance))
-                .collect();
-            let refs: Vec<&Conditioning> = conds.iter().collect();
-            // Both CFG halves of the whole chunk run as one folded engine
-            // call per step (2n rows), bit-identical to the double
-            // forward it replaces — see `crate::conditioning`.
-            let z = ddim_sample_seeded_conditioned(
-                &self.schedule,
-                [self.latent_channels, self.latent_size, self.latent_size],
-                seed_chunk,
-                DdimParams { steps, eta: 0.0, clip_x0: None },
-                &refs,
-                |x, t, ctx| self.unet.forward(x, t, ctx),
-            );
-            outs.push(self.decode_scaled(&z));
-        }
-        concat_chunks(outs, || {
-            self.decode_scaled(&Tensor::zeros(&[
-                0,
-                self.latent_channels,
-                self.latent_size,
-                self.latent_size,
-            ]))
+                .collect()
         })
     }
+}
 
-    /// Validating [`Self::generate_seeded`]: a prompt/seed count mismatch
-    /// or out-of-range `steps` comes back as a typed [`FpdqError`].
-    pub fn try_generate_seeded(
+impl ServeModel for SdSim {
+    fn chw(&self) -> [usize; 3] {
+        [self.latent_channels, self.latent_size, self.latent_size]
+    }
+    fn schedule(&self) -> &NoiseSchedule {
+        &self.schedule
+    }
+    fn clip_x0(&self) -> Option<f32> {
+        None
+    }
+    fn eps(&self, x: &Tensor, t: &Tensor, ctx: Option<&Tensor>) -> Tensor {
+        self.unet.forward(x, t, ctx)
+    }
+    fn conditioning(
         &self,
-        prompts: &[String],
-        seeds: &[u64],
-        steps: usize,
-        batch: usize,
-    ) -> Result<Tensor, FpdqError> {
-        if prompts.len() != seeds.len() {
-            return Err(FpdqError::shape(format!(
-                "need one seed per prompt: {} prompts, {} seeds",
-                prompts.len(),
-                seeds.len()
-            )));
+        prompt: Option<&str>,
+        guidance: Option<f32>,
+    ) -> Result<Conditioning, FpdqError> {
+        // The text encoder runs full-precision (as offline: the paper
+        // quantizes only the U-Net), once per request. The null context
+        // is prompt-independent but cheap at n = 1; re-encoding it here
+        // keeps the model immutable across requests.
+        match prompt {
+            Some(p) => {
+                // An overflowing scale would sample an all-NaN image.
+                if let Some(g) = guidance.filter(|g| !g.is_finite() || g.abs() > MAX_GUIDANCE) {
+                    return Err(FpdqError::invalid(format!(
+                        "'guidance' must be finite with magnitude at most {MAX_GUIDANCE}, got {g}"
+                    )));
+                }
+                let cond = self.encode_prompts(&[p.to_string()]);
+                let g = guidance.unwrap_or(self.guidance);
+                Ok(Conditioning::guided(cond, self.null_context(1), g))
+            }
+            None if guidance.is_some() => {
+                Err(FpdqError::invalid("'guidance' requires a 'prompt' to guide towards"))
+            }
+            // A prompt-less request on a conditional model samples the
+            // null context — the model's own unconditional distribution.
+            None => Ok(Conditioning::Direct(self.null_context(1))),
         }
-        validate_steps(&self.schedule, steps)?;
-        Ok(self.generate_seeded(prompts, seeds, steps, batch))
+    }
+    fn finish(&self, x: &Tensor) -> Tensor {
+        self.decode_scaled(x)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampler::ddim_sample_seeded;
     use fpdq_nn::{AutoencoderConfig, TextEncoderConfig, UNetConfig};
     use rand::SeedableRng;
 
@@ -347,15 +391,29 @@ mod tests {
 
     #[test]
     fn batch_size_does_not_change_generated_images() {
-        // The batch knob is pure throughput: the same master seed yields
-        // the same images at batch 1, 3 and 16, because every image is a
-        // function of its own derived seed.
-        let p = micro_ddim();
-        let want = p.generate_batched(5, 3, 1, &mut StdRng::seed_from_u64(9));
-        for batch in [2usize, 3, 5, 16] {
-            let got = p.generate_batched(5, 3, batch, &mut StdRng::seed_from_u64(9));
-            assert_eq!(got.dims(), want.dims());
-            assert_eq!(got.data(), want.data(), "batch {batch} changed the images");
+        // The batch knob is pure throughput: the same seeds yield the same
+        // images at every batch size, for every pipeline, because every
+        // image is a function of its own seed.
+        let seeds = per_image_seeds(5, &mut StdRng::seed_from_u64(9));
+        let ddim = micro_ddim();
+        let ldm = micro_ldm();
+        let sd = micro_sd(2.0);
+        let prompts: Vec<String> = (0..5)
+            .map(|i| ["a red ball in a dark room", "a blue box in a bright room"][i % 2].into())
+            .collect();
+        let runs: [(&str, &dyn Fn(usize) -> Tensor); 3] = [
+            ("ddim", &|batch| ddim.generate_seeded(&seeds, 3, batch)),
+            ("ldm", &|batch| ldm.generate_seeded(&seeds, 3, batch)),
+            ("sd", &|batch| sd.generate_seeded(&prompts, &seeds, 3, batch)),
+        ];
+        for (name, run) in runs {
+            let want = run(1);
+            assert_eq!(want.dim(0), 5);
+            for batch in [2usize, 3, 5, 16] {
+                let got = run(batch);
+                assert_eq!(got.dims(), want.dims());
+                assert_eq!(got.data(), want.data(), "{name}: batch {batch} changed the images");
+            }
         }
     }
 
@@ -374,16 +432,16 @@ mod tests {
     }
 
     #[test]
-    fn try_generate_rejects_out_of_range_steps() {
+    fn offline_generation_clamps_out_of_range_steps() {
+        // Offline entry points clamp `steps` into the schedule (a server
+        // rejects instead).
         let p = micro_ddim();
-        assert!(matches!(p.try_generate_seeded(&[1], 0, 1), Err(FpdqError::InvalidArgument(_))));
-        assert!(matches!(
-            p.try_generate_seeded(&[1], p.schedule.steps() + 1, 1),
-            Err(FpdqError::InvalidArgument(_))
-        ));
-        // In-range steps agree bit-exactly with the panicking path.
-        let ok = p.try_generate_seeded(&[1, 2], 3, 2).unwrap();
-        assert_eq!(ok.data(), p.generate_seeded(&[1, 2], 3, 2).data());
+        let max = p.schedule.steps();
+        assert_eq!(p.generate_seeded(&[1], 0, 1).data(), p.generate_seeded(&[1], 1, 1).data());
+        assert_eq!(
+            p.generate_seeded(&[1], max + 5, 1).data(),
+            p.generate_seeded(&[1], max, 1).data()
+        );
     }
 
     #[test]
@@ -397,16 +455,7 @@ mod tests {
     fn zero_count_latent_generation_returns_empty_decoded_batch() {
         // The latent pipelines shape their empty result through the
         // decoder (an empty batch must still carry the decoded dims).
-        let mut rng = StdRng::seed_from_u64(12);
-        let p = LdmSim {
-            ae: Autoencoder::new(AutoencoderConfig::small(3, 4), &mut rng),
-            unet: UNet::new(UNetConfig::tiny(4), &mut rng),
-            schedule: NoiseSchedule::linear_scaled(20),
-            latent_channels: 4,
-            latent_size: 8,
-            latent_scale: 1.0,
-        };
-        let imgs = p.generate(0, 3, &mut StdRng::seed_from_u64(13));
+        let imgs = micro_ldm().generate(0, 3, &mut StdRng::seed_from_u64(13));
         assert_eq!(imgs.dims(), &[0, 3, 16, 16]);
     }
 
@@ -477,10 +526,6 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .sum();
         assert!(first_diff > 1e-4, "prompt change had no effect");
-        // The validating entry point turns the seed/prompt mismatch the
-        // panicking path asserts on into a typed error.
-        let err = p.try_generate_seeded(&prompts, &[1], 3, 2).unwrap_err();
-        assert!(matches!(err, FpdqError::ShapeMismatch(_)), "{err}");
     }
 
     #[test]
@@ -512,6 +557,30 @@ mod tests {
         p.guidance = 3.0;
         let b = p.generate(&prompts, 3, &mut StdRng::seed_from_u64(8));
         assert_ne!(a.data(), b.data());
+    }
+
+    fn micro_ldm() -> LdmSim {
+        let mut rng = StdRng::seed_from_u64(12);
+        LdmSim {
+            ae: Autoencoder::new(AutoencoderConfig::small(3, 4), &mut rng),
+            unet: UNet::new(UNetConfig::tiny(4), &mut rng),
+            schedule: NoiseSchedule::linear_scaled(20),
+            latent_channels: 4,
+            latent_size: 8,
+            latent_scale: 1.0,
+        }
+    }
+
+    #[test]
+    fn sd_conditioning_rejects_overflowing_guidance() {
+        let p = micro_sd(3.0);
+        for g in [f32::INFINITY, f32::NEG_INFINITY, f32::NAN, 3.0e38, -1001.0] {
+            let err = p.conditioning(Some("a red ball in a dark room"), Some(g)).unwrap_err();
+            assert!(matches!(err, FpdqError::InvalidArgument(_)), "guidance {g}: {err}");
+        }
+        for g in [-1000.0, 0.0, 7.5, 1000.0] {
+            assert!(p.conditioning(Some("a red ball in a dark room"), Some(g)).is_ok(), "{g}");
+        }
     }
 
     fn micro_sd(guidance: f32) -> SdSim {

@@ -5,25 +5,25 @@
 //! `eps(x_t, t) -> ε̂` — so the full-precision model, the FP-quantized
 //! model and the INT-quantized model all drive the *same* sampling code,
 //! which is what makes the paper's fixed-seed comparisons meaningful.
+//! The DDIM entry points here are constructors over [`crate::stepper`]:
+//! each builds one step state per image and advances the states in
+//! batches until they finish, so offline sampling, calibration and
+//! serving share one DDIM update.
 //!
 //! # Batched multi-image sampling and per-image RNG streams
 //!
 //! Every sampler runs a whole `[b, c, h, w]` batch through one network
 //! call per step, but the stochastic noise is drawn from **one RNG
-//! stream per image** (`*_batched` take a slice of RNGs, `*_seeded` a
-//! slice of seeds that also derive the starting noise). This is what
-//! makes batch composition irrelevant: image `i` of a batch-N run is
-//! bit-identical to a batch-1 run from the same per-image seed — the
-//! contract `tests/batched_consistency.rs` pins on the packed engine —
-//! and images within a batch are statistically independent.
-//!
-//! The earlier single-`rng` entry points drew one shared stream for the
-//! whole batch, which both correlated the images (each stochastic step
-//! sliced consecutive variates across the batch) and made every image's
-//! noise depend on its position in the batch; they now derive per-image
-//! seeds from the given RNG and delegate to the batched path.
+//! stream per image** (`*_seeded` take a slice of seeds that also derive
+//! the starting noise). This is what makes batch composition irrelevant:
+//! image `i` of a batch-N run is bit-identical to a batch-1 run from the
+//! same per-image seed — the contract `tests/batched_consistency.rs` pins
+//! on the packed engine — and images within a batch are statistically
+//! independent.
 
+use crate::conditioning::Conditioning;
 use crate::schedule::NoiseSchedule;
+use crate::stepper::{run_to_completion, seeded_states, DdimStepState};
 use fpdq_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,30 +46,28 @@ impl Default for DdimParams {
     }
 }
 
-/// Returns the decreasing timestep subsequence used by DDIM (shared with
-/// the step-wise API in [`crate::stepper`]).
+impl DdimParams {
+    /// `self` with `steps` clamped into `1..=schedule.steps()`: offline
+    /// sampling clamps where a server rejects.
+    pub(crate) fn clamped(self, schedule: &NoiseSchedule) -> DdimParams {
+        DdimParams { steps: self.steps.clamp(1, schedule.steps()), ..self }
+    }
+}
+
+/// Returns the decreasing timestep subsequence used by DDIM for
+/// `steps` in `1..=schedule.steps()`.
 pub(crate) fn ddim_timesteps(schedule: &NoiseSchedule, steps: usize) -> Vec<usize> {
     let t = schedule.steps();
-    let steps = steps.clamp(1, t);
     let mut ts: Vec<usize> = (0..steps).map(|i| i * t / steps).collect();
     ts.dedup();
     ts.reverse(); // high noise -> low noise
     ts
 }
 
-/// Derives one independent RNG stream per image from a master RNG.
-///
-/// The master only hands out seeds, so each image's stream is a pure
-/// function of its own seed — the property that makes batch composition
-/// order-independent.
-pub fn per_image_rngs(b: usize, rng: &mut impl Rng) -> Vec<StdRng> {
-    (0..b).map(|_| StdRng::seed_from_u64(rng.gen())).collect()
-}
-
 /// Draws standard-normal noise `[b, c, h, w]` with image `i` taken
 /// entirely from `rngs[i]` — the batched equivalent of `b` independent
 /// `Tensor::randn(&[1, c, h, w], rng)` calls, bit-for-bit.
-fn randn_per_image(dims: &[usize], rngs: &mut [StdRng]) -> Tensor {
+pub(crate) fn randn_per_image(dims: &[usize], rngs: &mut [StdRng]) -> Tensor {
     debug_assert_eq!(dims[0], rngs.len());
     let plane: usize = dims[1..].iter().product();
     let mut data = Vec::with_capacity(rngs.len() * plane);
@@ -84,133 +82,77 @@ fn randn_per_image(dims: &[usize], rngs: &mut [StdRng]) -> Tensor {
 /// Deterministic (η=0) or stochastic DDIM sampling.
 ///
 /// `x_t` starts from `noise` (`[b, c, h, w]`); `eps` is the noise
-/// predictor. Returns the final `x_0` estimate.
+/// predictor. Returns the final `x_0` estimate. `params.steps` is clamped
+/// into the schedule.
 ///
-/// Stochastic steps (η > 0) draw per-image streams derived from `rng`
-/// (see the module docs — a single shared stream would correlate the
-/// batch); callers that need image `i` reproducible outside this batch
-/// should use [`ddim_sample_batched`] with explicit per-image RNGs.
+/// The master `rng` only hands out one seed per image, and each seed's
+/// stream draws that image's stochastic noise (η > 0), so images never
+/// share a stream; use [`ddim_sample_seeded`] when image `i` must be
+/// reproducible outside this batch.
 pub fn ddim_sample(
     schedule: &NoiseSchedule,
     noise: Tensor,
     params: DdimParams,
     rng: &mut impl Rng,
-    eps: impl FnMut(&Tensor, &Tensor) -> Tensor,
-) -> Tensor {
-    let mut rngs = per_image_rngs(noise.dim(0), rng);
-    ddim_sample_batched(schedule, noise, params, &mut rngs, eps)
-}
-
-/// [`ddim_sample`] with one explicit RNG stream per image
-/// (`rngs.len() == b`): all stochastic noise for image `i` is drawn from
-/// `rngs[i]`, so the result for image `i` depends only on its starting
-/// noise and its own stream — never on the rest of the batch.
-///
-/// # Panics
-///
-/// Panics if `rngs.len() != noise.dim(0)`.
-pub fn ddim_sample_batched(
-    schedule: &NoiseSchedule,
-    noise: Tensor,
-    params: DdimParams,
-    rngs: &mut [StdRng],
     mut eps: impl FnMut(&Tensor, &Tensor) -> Tensor,
 ) -> Tensor {
     let b = noise.dim(0);
-    assert_eq!(rngs.len(), b, "need one RNG stream per image, got {} for b = {b}", rngs.len());
+    let rngs: Vec<StdRng> = (0..b).map(|_| StdRng::seed_from_u64(rng.gen())).collect();
     if b == 0 {
         // Degenerate batch: nothing to denoise, and the network must not
         // be called on an empty tensor.
         return noise;
     }
-    let ts = ddim_timesteps(schedule, params.steps);
-    let mut x = noise;
-    for (i, &t) in ts.iter().enumerate() {
-        let t_batch = Tensor::full(&[b], t as f32);
-        let e = eps(&x, &t_batch);
-        let ab_t = schedule.alpha_bar(t);
-        let ab_prev = if i + 1 < ts.len() { schedule.alpha_bar(ts[i + 1]) } else { 1.0 };
-        // x0 prediction from the ε-parameterisation (paper eq. 3 rearranged).
-        let mut x0 = x.sub(&e.mul_scalar((1.0 - ab_t).sqrt())).mul_scalar(1.0 / ab_t.sqrt());
-        if let Some(c) = params.clip_x0 {
-            x0 = x0.clamp(-c, c);
-        }
-        let sigma =
-            params.eta * ((1.0 - ab_prev) / (1.0 - ab_t)).sqrt() * (1.0 - ab_t / ab_prev).sqrt();
-        let dir = e.mul_scalar((1.0 - ab_prev - sigma * sigma).max(0.0).sqrt());
-        x = x0.mul_scalar(ab_prev.sqrt()).add(&dir);
-        if sigma > 0.0 && i + 1 < ts.len() {
-            let z = randn_per_image(x.dims(), rngs);
-            x = x.add(&z.mul_scalar(sigma));
-        }
-    }
-    x
+    let params = params.clamped(schedule);
+    let states = rngs
+        .into_iter()
+        .enumerate()
+        .map(|(i, rng)| {
+            let x = noise.narrow(0, i, 1);
+            DdimStepState::from_noise(schedule, x, rng, params, Conditioning::Uncond)
+                .expect("steps clamped into range")
+        })
+        .collect();
+    run_to_completion(states, |x, t, _| eps(x, t))
 }
 
-/// [`ddim_sample_batched`] driven entirely by per-image seeds: seed `i`
-/// derives the stream that produces image `i`'s starting noise
-/// (`[1, c, h, w]` from a fresh `StdRng`) and all of its stochastic
-/// sampler noise. A batch-1 call with `&[seeds[i]]` therefore reproduces
-/// image `i` of any batch exactly.
+/// DDIM sampling driven entirely by per-image seeds: seed `i` derives the
+/// stream that produces image `i`'s starting noise (`[1, c, h, w]` from a
+/// fresh `StdRng`) and all of its stochastic sampler noise. A batch-1
+/// call with `&[seeds[i]]` therefore reproduces image `i` of any batch
+/// exactly. `params.steps` is clamped into the schedule.
 pub fn ddim_sample_seeded(
     schedule: &NoiseSchedule,
     chw: [usize; 3],
     seeds: &[u64],
     params: DdimParams,
-    eps: impl FnMut(&Tensor, &Tensor) -> Tensor,
+    mut eps: impl FnMut(&Tensor, &Tensor) -> Tensor,
 ) -> Tensor {
-    let (mut rngs, noise) = seeded_noise(chw, seeds);
-    ddim_sample_batched(schedule, noise, params, &mut rngs, eps)
-}
-
-/// Builds the per-image streams for `seeds` and draws each image's
-/// starting noise as that stream's first variates.
-fn seeded_noise(chw: [usize; 3], seeds: &[u64]) -> (Vec<StdRng>, Tensor) {
-    let [c, h, w] = chw;
-    let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-    let noise = if seeds.is_empty() {
-        Tensor::zeros(&[0, c, h, w])
-    } else {
-        randn_per_image(&[seeds.len(), c, h, w], &mut rngs)
-    };
-    (rngs, noise)
+    if seeds.is_empty() {
+        let [c, h, w] = chw;
+        return Tensor::zeros(&[0, c, h, w]);
+    }
+    let conds = std::iter::repeat(Conditioning::Uncond);
+    run_to_completion(seeded_states(schedule, chw, seeds, conds, params), |x, t, _| eps(x, t))
 }
 
 /// Full-length DDPM ancestral sampling (one network call per schedule
-/// step).
-///
-/// Ancestral noise draws per-image streams derived from `rng` (see the
-/// module docs); use [`ddpm_sample_batched`] for explicit streams.
-pub fn ddpm_sample(
+/// step), driven by per-image seeds (see [`ddim_sample_seeded`] for the
+/// contract).
+pub fn ddpm_sample_seeded(
     schedule: &NoiseSchedule,
-    noise: Tensor,
+    chw: [usize; 3],
+    seeds: &[u64],
     clip_x0: Option<f32>,
-    rng: &mut impl Rng,
-    eps: impl FnMut(&Tensor, &Tensor) -> Tensor,
-) -> Tensor {
-    let mut rngs = per_image_rngs(noise.dim(0), rng);
-    ddpm_sample_batched(schedule, noise, clip_x0, &mut rngs, eps)
-}
-
-/// [`ddpm_sample`] with one explicit RNG stream per image (see
-/// [`ddim_sample_batched`] for the contract).
-///
-/// # Panics
-///
-/// Panics if `rngs.len() != noise.dim(0)`.
-pub fn ddpm_sample_batched(
-    schedule: &NoiseSchedule,
-    noise: Tensor,
-    clip_x0: Option<f32>,
-    rngs: &mut [StdRng],
     mut eps: impl FnMut(&Tensor, &Tensor) -> Tensor,
 ) -> Tensor {
-    let b = noise.dim(0);
-    assert_eq!(rngs.len(), b, "need one RNG stream per image, got {} for b = {b}", rngs.len());
+    let [c, h, w] = chw;
+    let b = seeds.len();
     if b == 0 {
-        return noise;
+        return Tensor::zeros(&[0, c, h, w]);
     }
-    let mut x = noise;
+    let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+    let mut x = randn_per_image(&[b, c, h, w], &mut rngs);
     for t in (0..schedule.steps()).rev() {
         let t_batch = Tensor::full(&[b], t as f32);
         let e = eps(&x, &t_batch);
@@ -230,26 +172,13 @@ pub fn ddpm_sample_batched(
             mean = x0.mul_scalar(coef0).add(&x.mul_scalar(coeft));
         }
         if t > 0 {
-            let z = randn_per_image(x.dims(), rngs);
+            let z = randn_per_image(x.dims(), &mut rngs);
             x = mean.add(&z.mul_scalar(beta_t.sqrt()));
         } else {
             x = mean;
         }
     }
     x
-}
-
-/// [`ddpm_sample_batched`] driven entirely by per-image seeds (see
-/// [`ddim_sample_seeded`] for the contract).
-pub fn ddpm_sample_seeded(
-    schedule: &NoiseSchedule,
-    chw: [usize; 3],
-    seeds: &[u64],
-    clip_x0: Option<f32>,
-    eps: impl FnMut(&Tensor, &Tensor) -> Tensor,
-) -> Tensor {
-    let (mut rngs, noise) = seeded_noise(chw, seeds);
-    ddpm_sample_batched(schedule, noise, clip_x0, &mut rngs, eps)
 }
 
 #[cfg(test)]
@@ -290,11 +219,14 @@ mod tests {
     #[test]
     fn ddpm_recovers_point_mass_with_oracle() {
         let schedule = NoiseSchedule::linear_scaled(60);
-        let mut rng = StdRng::seed_from_u64(1);
         let mu = Tensor::full(&[1, 1, 2, 2], 0.4);
-        let noise = Tensor::randn(&[1, 1, 2, 2], &mut rng);
-        let out =
-            ddpm_sample(&schedule, noise, Some(1.0), &mut rng, oracle_eps(&schedule, mu.clone()));
+        let out = ddpm_sample_seeded(
+            &schedule,
+            [1, 2, 2],
+            &[1],
+            Some(1.0),
+            oracle_eps(&schedule, mu.clone()),
+        );
         // Ancestral sampling is stochastic; just require proximity.
         assert!(out.mse(&mu) < 0.05, "DDPM far from mode: {}", out.mse(&mu));
     }
@@ -408,15 +340,6 @@ mod tests {
         assert_eq!(out.dims(), &[0, 3, 4, 4]);
         let out = ddpm_sample_seeded(&schedule, [3, 4, 4], &[], None, no_eps);
         assert_eq!(out.dims(), &[0, 3, 4, 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one RNG stream per image")]
-    fn mismatched_rng_count_panics() {
-        let schedule = NoiseSchedule::linear_scaled(10);
-        let noise = Tensor::zeros(&[2, 1, 2, 2]);
-        let mut rngs = vec![StdRng::seed_from_u64(0)];
-        ddim_sample_batched(&schedule, noise, DdimParams::default(), &mut rngs, |x, _| x.clone());
     }
 
     #[test]

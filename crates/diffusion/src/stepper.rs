@@ -1,33 +1,36 @@
-//! Step-wise DDIM sampling: one request's denoising loop, inverted.
+//! The DDIM sampler: one image's step state plus one batched advance.
 //!
-//! [`crate::sampler::ddim_sample_seeded`] owns its whole loop — fine for
-//! offline generation, useless for a serving scheduler that wants to
-//! *interleave* many requests' steps so new requests can join the batch
-//! at any step boundary (continuous batching). [`DdimStepState`] turns
-//! the loop inside out: it holds one image's `x_t`, RNG stream and
-//! position in the timestep subsequence, and [`DdimStepState::advance`]
-//! applies exactly one DDIM update given the noise prediction for the
-//! *current* timestep.
+//! [`DdimStepState`] holds one image's `x_t`, RNG stream, conditioning
+//! and position in the timestep subsequence. [`advance_batch`] stacks any
+//! set of in-flight states into one folded engine call ([`eps_folded`])
+//! and applies one DDIM update to each. That pair is the only DDIM
+//! implementation in the library, and every caller drives it:
+//!
+//! * the offline entry points in [`crate::sampler`] — and through them the
+//!   pipelines and PTQ calibration — build one state per image and
+//!   advance them in lockstep until they finish;
+//! * a serving scheduler advances whichever requests are in flight at
+//!   each step boundary, so requests join and leave the batch at any step
+//!   (continuous batching), each at its own timestep.
 //!
 //! # Bit-identity contract
 //!
-//! A request stepped to completion through this API is **bit-identical**
-//! to `ddim_sample_seeded` with the same seed/params, no matter how the
-//! scheduler batches it with other requests. Two facts compose into that
+//! An image stepped to completion is **bit-identical** whichever states
+//! share its batches: solo, in a uniform offline batch, or joining and
+//! leaving a served batch mid-flight. Two facts compose into that
 //! guarantee:
 //!
-//! 1. `advance` replays the batched sampler's update op-for-op on the
-//!    request's own `[1, c, h, w]` slice. Every op in the update is
-//!    elementwise with scalar coefficients, so slicing commutes with the
-//!    math, and stochastic noise comes from the request's own stream —
-//!    exactly what `randn_per_image` would have drawn for it.
+//! 1. The update is elementwise with scalar coefficients on the image's
+//!    own `[1, c, h, w]` slice, and stochastic noise comes from the
+//!    image's own stream.
 //! 2. The U-Net treats the batch dimension independently (pinned by
-//!    `tests/batched_consistency.rs`), so the ε the scheduler computes
-//!    for this image inside any batch equals its batch-1 ε.
+//!    `tests/batched_consistency.rs`) and [`eps_folded`] keeps each
+//!    image's rows apart, so the ε an image gets inside any batch equals
+//!    its batch-1 ε.
 //!
-//! The tests below pin the contract for solo runs, uniform batches, and
-//! the serving-shaped case: requests joining and leaving mid-flight, each
-//! at its own timestep.
+//! The tests below pin the contract for solo runs, uniform batches and
+//! the serving-shaped case, against a whole-batch loop sampler kept in the
+//! test module as the reference.
 
 use crate::conditioning::{eps_folded, Conditioning};
 use crate::sampler::{ddim_timesteps, DdimParams};
@@ -49,35 +52,38 @@ pub struct DdimStepState {
 }
 
 impl DdimStepState {
-    /// Starts an unconditioned request: derives the starting noise
-    /// `[1, c, h, w]` and the stochastic stream from `seed`, exactly as
-    /// [`crate::sampler::ddim_sample_seeded`] does for a batch-1 call.
+    /// Starts one image: derives the starting noise `[1, c, h, w]` and the
+    /// stochastic stream from `seed`. The conditioning (context and
+    /// guidance, when [`Conditioning::Guided`]) travels with the state,
+    /// so a conditional image joins and leaves a running batch exactly
+    /// like an unconditional one.
     ///
-    /// `params.steps` must be in `1..=schedule.steps()` (a server rejects
-    /// instead of clamping; see `DdimSim::try_generate_seeded`).
-    pub fn new_seeded(
-        schedule: &NoiseSchedule,
-        chw: [usize; 3],
-        seed: u64,
-        params: DdimParams,
-    ) -> Result<DdimStepState, FpdqError> {
-        Self::new_conditioned(schedule, chw, seed, params, Conditioning::Uncond)
-    }
-
-    /// [`Self::new_seeded`] with per-request conditioning: the context
-    /// (and guidance, when [`Conditioning::Guided`]) travels with the
-    /// request's state, so a conditional request can join and leave a
-    /// running batch at step boundaries exactly like an unconditional
-    /// one — [`advance_batch_conditioned`] folds every member's halves
-    /// into one engine call per step.
+    /// The seed's role is independent of the conditioning: conditioning
+    /// shapes ε, never the noise streams, so the bit-identity contract
+    /// holds per (seed, conditioning) pair.
     ///
-    /// The seed's role is unchanged: conditioning shapes ε, never the
-    /// noise streams, so the bit-identity contract (solo run == any batch
-    /// composition) holds per (seed, conditioning) pair.
+    /// `params.steps` must be in `1..=schedule.steps()`; a server rejects
+    /// out-of-range requests with this error, while the offline entry
+    /// points clamp before they get here.
     pub fn new_conditioned(
         schedule: &NoiseSchedule,
         chw: [usize; 3],
         seed: u64,
+        params: DdimParams,
+        cond: Conditioning,
+    ) -> Result<DdimStepState, FpdqError> {
+        let [c, h, w] = chw;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x = Tensor::randn(&[1, c, h, w], &mut rng);
+        Self::from_noise(schedule, x, rng, params, cond)
+    }
+
+    /// Starts one image from explicit starting noise `x` `[1, c, h, w]`
+    /// and stochastic stream `rng` (see [`Self::new_conditioned`]).
+    pub(crate) fn from_noise(
+        schedule: &NoiseSchedule,
+        x: Tensor,
+        rng: StdRng,
         params: DdimParams,
         cond: Conditioning,
     ) -> Result<DdimStepState, FpdqError> {
@@ -88,31 +94,16 @@ impl DdimStepState {
                 params.steps
             )));
         }
-        let [c, h, w] = chw;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let x = Tensor::randn(&[1, c, h, w], &mut rng);
         let ts = ddim_timesteps(schedule, params.steps);
         Ok(DdimStepState { x, rng, ts, pos: 0, params, schedule: schedule.clone(), cond })
     }
 
-    /// This request's conditioning (what [`advance_batch_conditioned`]
-    /// stacks into the folded engine batch).
-    pub fn conditioning(&self) -> &Conditioning {
-        &self.cond
-    }
-
-    /// The current `x_t` `[1, c, h, w]` (the tensor `advance` expects the
-    /// noise prediction for).
-    pub fn x(&self) -> &Tensor {
-        &self.x
-    }
-
-    /// The schedule timestep the next `advance` consumes.
+    /// The schedule timestep the next advance consumes.
     ///
     /// # Panics
     ///
-    /// Panics if the request is already done.
-    pub fn current_t(&self) -> usize {
+    /// Panics if the image is already done.
+    fn current_t(&self) -> usize {
         assert!(!self.is_done(), "current_t on a finished request");
         self.ts[self.pos]
     }
@@ -127,25 +118,21 @@ impl DdimStepState {
         (self.pos, self.ts.len())
     }
 
-    /// Applies one DDIM update given `e`, the noise prediction for
-    /// [`Self::x`] at [`Self::current_t`] — the loop body of
-    /// [`crate::sampler::ddim_sample_batched`], verbatim, on this image's
-    /// slice.
+    /// Applies one DDIM update given `e`, the noise prediction for `x` at
+    /// the current timestep.
     ///
     /// # Panics
     ///
-    /// Panics if the request is already done or `e` has the wrong shape
-    /// (scheduler bookkeeping bugs, not caller input).
-    pub fn advance(&mut self, e: &Tensor) {
+    /// Panics if the image is already done or `e` has the wrong shape
+    /// (driver bookkeeping bugs, not caller input).
+    fn advance(&mut self, e: &Tensor) {
         assert!(!self.is_done(), "advance on a finished request");
         assert_eq!(e.dims(), self.x.dims(), "noise prediction shape mismatch");
         let t = self.ts[self.pos];
+        let last = self.pos + 1 == self.ts.len();
         let ab_t = self.schedule.alpha_bar(t);
-        let ab_prev = if self.pos + 1 < self.ts.len() {
-            self.schedule.alpha_bar(self.ts[self.pos + 1])
-        } else {
-            1.0
-        };
+        let ab_prev = if last { 1.0 } else { self.schedule.alpha_bar(self.ts[self.pos + 1]) };
+        // x0 prediction from the ε-parameterisation (paper eq. 3 rearranged).
         let mut x0 = self.x.sub(&e.mul_scalar((1.0 - ab_t).sqrt())).mul_scalar(1.0 / ab_t.sqrt());
         if let Some(c) = self.params.clip_x0 {
             x0 = x0.clamp(-c, c);
@@ -155,14 +142,14 @@ impl DdimStepState {
             * (1.0 - ab_t / ab_prev).sqrt();
         let dir = e.mul_scalar((1.0 - ab_prev - sigma * sigma).max(0.0).sqrt());
         self.x = x0.mul_scalar(ab_prev.sqrt()).add(&dir);
-        if sigma > 0.0 && self.pos + 1 < self.ts.len() {
+        if sigma > 0.0 && !last {
             let z = Tensor::randn(self.x.dims(), &mut self.rng);
             self.x = self.x.add(&z.mul_scalar(sigma));
         }
         self.pos += 1;
     }
 
-    /// Consumes the finished request, returning the `x_0` estimate
+    /// Consumes the finished image, returning the `x_0` estimate
     /// `[1, c, h, w]`.
     ///
     /// # Panics
@@ -174,71 +161,141 @@ impl DdimStepState {
     }
 }
 
-/// Runs one batched ε call for a set of in-flight requests and advances
-/// each: stacks their `x_t`s (`[n, c, h, w]`) and per-image timesteps
-/// (`[n]`), invokes `eps` once, then hands each request its slice. This
-/// is the scheduler's step kernel; it lives here so the batch/slice
-/// plumbing is pinned by the same tests as the update math.
+/// Runs one batched noise prediction for a set of in-flight images and
+/// advances each by one DDIM step: stacks their `x_t`s (`[n, c, h, w]`)
+/// and per-image timesteps (`[n]`), routes them through [`eps_folded`] so
+/// every member's conditioning — including both classifier-free-guidance
+/// halves of guided images — shares **one** `forward(x, t, context)`
+/// engine call, then hands each image its slice. An all-unconditional
+/// batch becomes a context-free call.
 ///
-/// Requests may sit at *different* timesteps — per-image `t` is exactly
+/// Images may sit at *different* timesteps — per-image `t` is exactly
 /// what the U-Net's timestep embedding supports.
 ///
 /// # Panics
 ///
-/// Panics if `states` is empty or any state is already done.
+/// Panics if `states` is empty, any state is already done, or the batch
+/// mixes context-free and conditioned images (cannot come from one
+/// model; see [`eps_folded`]).
 pub fn advance_batch(
     states: &mut [&mut DdimStepState],
-    eps: impl FnOnce(&Tensor, &Tensor) -> Tensor,
+    forward: impl FnOnce(&Tensor, &Tensor, Option<&Tensor>) -> Tensor,
 ) {
     assert!(!states.is_empty(), "advance_batch on an empty set");
-    let xs: Vec<Tensor> = states.iter().map(|s| s.x().clone()).collect();
-    let refs: Vec<&Tensor> = xs.iter().collect();
-    let x = Tensor::concat(&refs, 0);
+    let xs: Vec<&Tensor> = states.iter().map(|s| &s.x).collect();
+    let x = Tensor::concat(&xs, 0);
     let t: Vec<f32> = states.iter().map(|s| s.current_t() as f32).collect();
     let n = t.len();
-    let e = eps(&x, &Tensor::from_vec(t, &[n]));
+    let conds: Vec<&Conditioning> = states.iter().map(|s| &s.cond).collect();
+    let e = eps_folded(forward, &x, &Tensor::from_vec(t, &[n]), &conds);
     assert_eq!(e.dim(0), n, "eps returned a wrong-sized batch");
     for (i, s) in states.iter_mut().enumerate() {
         s.advance(&e.narrow(0, i, 1));
     }
 }
 
-/// [`advance_batch`] for requests that carry [`Conditioning`]: stacks the
-/// batch exactly the same way, but routes ε through
-/// [`eps_folded`] so every member's conditioning — including both CFG
-/// halves of guided requests — shares **one** `forward(x, t, context)`
-/// engine call per step. Uncond-only batches degenerate to a context-free
-/// call, making this a drop-in superset of [`advance_batch`] for a
-/// scheduler serving any pipeline.
+/// Advances `states` in batches until every one is done and stacks their
+/// `x_0` estimates in order (`[n, c, h, w]`) — the offline sampling loop.
 ///
 /// # Panics
 ///
-/// Panics if `states` is empty, any state is already done, or the batch
-/// mixes context-free and conditioned requests (cannot come from one
-/// model; see [`eps_folded`]).
-pub fn advance_batch_conditioned(
-    states: &mut [&mut DdimStepState],
-    forward: impl FnOnce(&Tensor, &Tensor, Option<&Tensor>) -> Tensor,
-) {
-    assert!(!states.is_empty(), "advance_batch on an empty set");
-    let xs: Vec<Tensor> = states.iter().map(|s| s.x().clone()).collect();
-    let refs: Vec<&Tensor> = xs.iter().collect();
-    let x = Tensor::concat(&refs, 0);
-    let t: Vec<f32> = states.iter().map(|s| s.current_t() as f32).collect();
-    let n = t.len();
-    let conds: Vec<&Conditioning> = states.iter().map(|s| s.conditioning()).collect();
-    let e = eps_folded(forward, &x, &Tensor::from_vec(t, &[n]), &conds);
-    drop(conds);
-    assert_eq!(e.dim(0), n, "eps returned a wrong-sized batch");
-    for (i, s) in states.iter_mut().enumerate() {
-        s.advance(&e.narrow(0, i, 1));
+/// Panics if `states` is empty.
+pub(crate) fn run_to_completion(
+    mut states: Vec<DdimStepState>,
+    mut forward: impl FnMut(&Tensor, &Tensor, Option<&Tensor>) -> Tensor,
+) -> Tensor {
+    loop {
+        let mut live: Vec<&mut DdimStepState> =
+            states.iter_mut().filter(|s| !s.is_done()).collect();
+        if live.is_empty() {
+            break;
+        }
+        advance_batch(&mut live, &mut forward);
     }
+    let xs: Vec<Tensor> = states.into_iter().map(DdimStepState::into_result).collect();
+    Tensor::concat(&xs.iter().collect::<Vec<_>>(), 0)
+}
+
+/// One state per seed, with `params.steps` clamped into the schedule —
+/// the offline entry points' contract.
+pub(crate) fn seeded_states(
+    schedule: &NoiseSchedule,
+    chw: [usize; 3],
+    seeds: &[u64],
+    conds: impl IntoIterator<Item = Conditioning>,
+    params: DdimParams,
+) -> Vec<DdimStepState> {
+    let params = params.clamped(schedule);
+    seeds
+        .iter()
+        .zip(conds)
+        .map(|(&seed, cond)| {
+            DdimStepState::new_conditioned(schedule, chw, seed, params, cond)
+                .expect("steps clamped into range")
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sampler::ddim_sample_seeded;
+    use crate::sampler::{ddim_sample, ddim_sample_seeded, randn_per_image};
+    use rand::Rng;
+
+    /// The whole-batch DDIM loop sampler the step state replaced, kept
+    /// verbatim as the reference the bit-identity tests compare against:
+    /// `x_t` starts from `noise` (`[b, c, h, w]`), all stochastic noise for
+    /// image `i` is drawn from `rngs[i]`.
+    fn ddim_sample_batched(
+        schedule: &NoiseSchedule,
+        noise: Tensor,
+        params: DdimParams,
+        rngs: &mut [StdRng],
+        mut eps: impl FnMut(&Tensor, &Tensor) -> Tensor,
+    ) -> Tensor {
+        let b = noise.dim(0);
+        assert_eq!(rngs.len(), b, "need one RNG stream per image, got {} for b = {b}", rngs.len());
+        if b == 0 {
+            // Degenerate batch: nothing to denoise, and the network must not
+            // be called on an empty tensor.
+            return noise;
+        }
+        let ts = ddim_timesteps(schedule, params.steps);
+        let mut x = noise;
+        for (i, &t) in ts.iter().enumerate() {
+            let t_batch = Tensor::full(&[b], t as f32);
+            let e = eps(&x, &t_batch);
+            let ab_t = schedule.alpha_bar(t);
+            let ab_prev = if i + 1 < ts.len() { schedule.alpha_bar(ts[i + 1]) } else { 1.0 };
+            // x0 prediction from the ε-parameterisation (paper eq. 3 rearranged).
+            let mut x0 = x.sub(&e.mul_scalar((1.0 - ab_t).sqrt())).mul_scalar(1.0 / ab_t.sqrt());
+            if let Some(c) = params.clip_x0 {
+                x0 = x0.clamp(-c, c);
+            }
+            let sigma = params.eta
+                * ((1.0 - ab_prev) / (1.0 - ab_t)).sqrt()
+                * (1.0 - ab_t / ab_prev).sqrt();
+            let dir = e.mul_scalar((1.0 - ab_prev - sigma * sigma).max(0.0).sqrt());
+            x = x0.mul_scalar(ab_prev.sqrt()).add(&dir);
+            if sigma > 0.0 && i + 1 < ts.len() {
+                let z = randn_per_image(x.dims(), rngs);
+                x = x.add(&z.mul_scalar(sigma));
+            }
+        }
+        x
+    }
+
+    /// [`ddim_sample_batched`] from per-image seeds: seed `i` derives
+    /// image `i`'s starting noise and its stochastic stream.
+    fn seeded_reference(
+        seeds: &[u64],
+        params: DdimParams,
+        eps: impl FnMut(&Tensor, &Tensor) -> Tensor,
+    ) -> Tensor {
+        let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+        let noise = randn_per_image(&[seeds.len(), 1, 4, 4], &mut rngs);
+        ddim_sample_batched(&schedule(), noise, params, &mut rngs, eps)
+    }
 
     fn schedule() -> NoiseSchedule {
         NoiseSchedule::linear_scaled(20)
@@ -259,28 +316,52 @@ mod tests {
         Tensor::from_vec(out, dims)
     }
 
-    fn solo_reference(seed: u64, params: DdimParams) -> Tensor {
-        ddim_sample_seeded(&schedule(), [1, 4, 4], &[seed], params, toy_eps)
+    fn uncond(schedule: &NoiseSchedule, seed: u64, params: DdimParams) -> DdimStepState {
+        DdimStepState::new_conditioned(schedule, [1, 4, 4], seed, params, Conditioning::Uncond)
+            .unwrap()
     }
 
     #[test]
     fn stepping_to_completion_matches_the_loop_sampler() {
         for eta in [0.0, 0.7] {
             let params = DdimParams { steps: 6, eta, clip_x0: Some(1.0) };
-            let mut s = DdimStepState::new_seeded(&schedule(), [1, 4, 4], 42, params).unwrap();
+            let mut s = uncond(&schedule(), 42, params);
             let mut steps = 0;
             while !s.is_done() {
-                let e = toy_eps(s.x(), &Tensor::from_vec(vec![s.current_t() as f32], &[1]));
+                let e = toy_eps(&s.x, &Tensor::from_vec(vec![s.current_t() as f32], &[1]));
                 s.advance(&e);
                 steps += 1;
             }
             assert_eq!(steps, 6);
             assert_eq!(
                 s.into_result().data(),
-                solo_reference(42, params).data(),
+                seeded_reference(&[42], params, toy_eps).data(),
                 "eta {eta} diverged from the loop sampler"
             );
         }
+    }
+
+    #[test]
+    fn offline_entry_points_match_the_loop_sampler() {
+        // Both offline constructors — per-image seeds, and explicit noise
+        // plus a master RNG — must reproduce the whole-batch loop bit for
+        // bit, stochastic steps included.
+        let sch = schedule();
+        let params = DdimParams { steps: 7, eta: 0.6, clip_x0: Some(1.0) };
+        let seeds = [5u64, 17, 5, 90];
+        let got = ddim_sample_seeded(&sch, [1, 4, 4], &seeds, params, toy_eps);
+        assert_eq!(got.data(), seeded_reference(&seeds, params, toy_eps).data());
+
+        let noise = Tensor::randn(&[3, 1, 4, 4], &mut StdRng::seed_from_u64(8));
+        let mut master = StdRng::seed_from_u64(9);
+        let got = ddim_sample(&sch, noise.clone(), params, &mut master, toy_eps);
+        let mut want_master = StdRng::seed_from_u64(9);
+        let mut rngs: Vec<StdRng> =
+            (0..3).map(|_| StdRng::seed_from_u64(want_master.gen())).collect();
+        let want = ddim_sample_batched(&sch, noise, params, &mut rngs, toy_eps);
+        assert_eq!(got.data(), want.data());
+        // The master RNG is consumed exactly as before: one seed per image.
+        assert_eq!(master.gen::<u64>(), want_master.gen::<u64>());
     }
 
     #[test]
@@ -290,43 +371,45 @@ mod tests {
         // bit-identical to its solo loop-sampler run.
         let params = DdimParams { steps: 4, eta: 0.3, clip_x0: None };
         let sch = schedule();
-        let mut a = DdimStepState::new_seeded(&sch, [1, 4, 4], 1, params).unwrap();
-        let mut b = DdimStepState::new_seeded(&sch, [1, 4, 4], 2, params).unwrap();
-        let mut c = DdimStepState::new_seeded(&sch, [1, 4, 4], 3, params).unwrap();
+        let mut a = uncond(&sch, 1, params);
+        let mut b = uncond(&sch, 2, params);
+        let mut c = uncond(&sch, 3, params);
+        let eps = |x: &Tensor, t: &Tensor, _: Option<&Tensor>| toy_eps(x, t);
 
         // A solo for 2 steps.
-        advance_batch(&mut [&mut a], toy_eps);
-        advance_batch(&mut [&mut a], toy_eps);
+        advance_batch(&mut [&mut a], eps);
+        advance_batch(&mut [&mut a], eps);
         // A and B together (A at step 2, B at step 0) until A finishes.
-        advance_batch(&mut [&mut a, &mut b], toy_eps);
-        advance_batch(&mut [&mut a, &mut b], toy_eps);
+        advance_batch(&mut [&mut a, &mut b], eps);
+        advance_batch(&mut [&mut a, &mut b], eps);
         assert!(a.is_done() && !b.is_done());
         // C joins B.
-        advance_batch(&mut [&mut b, &mut c], toy_eps);
-        advance_batch(&mut [&mut b, &mut c], toy_eps);
+        advance_batch(&mut [&mut b, &mut c], eps);
+        advance_batch(&mut [&mut b, &mut c], eps);
         assert!(b.is_done());
         while !c.is_done() {
-            advance_batch(&mut [&mut c], toy_eps);
+            advance_batch(&mut [&mut c], eps);
         }
 
         for (state, seed) in [(a, 1u64), (b, 2), (c, 3)] {
             assert_eq!(
                 state.into_result().data(),
-                solo_reference(seed, params).data(),
+                seeded_reference(&[seed], params, toy_eps).data(),
                 "seed {seed} depends on batch composition"
             );
         }
     }
 
     #[test]
-    fn new_seeded_rejects_out_of_range_steps() {
+    fn new_conditioned_rejects_out_of_range_steps() {
         let sch = schedule();
         for steps in [0, sch.steps() + 1] {
-            let r = DdimStepState::new_seeded(
+            let r = DdimStepState::new_conditioned(
                 &sch,
                 [1, 4, 4],
                 7,
                 DdimParams { steps, eta: 0.0, clip_x0: None },
+                Conditioning::Uncond,
             );
             assert!(matches!(r, Err(FpdqError::InvalidArgument(_))), "steps {steps} accepted");
         }
@@ -355,9 +438,6 @@ mod tests {
 
     #[test]
     fn conditioned_requests_join_and_leave_batches_bit_identically() {
-        use crate::conditioning::ddim_sample_seeded_conditioned;
-        use rand::SeedableRng;
-
         let params = DdimParams { steps: 4, eta: 0.3, clip_x0: None };
         let sch = schedule();
         let ctx = |seed: u64| Tensor::randn(&[1, 3, 4], &mut StdRng::seed_from_u64(seed));
@@ -375,27 +455,21 @@ mod tests {
         let mut b = mk(2, &conds[1]);
         let mut c = mk(3, &conds[2]);
 
-        advance_batch_conditioned(&mut [&mut a], toy_forward);
-        advance_batch_conditioned(&mut [&mut a], toy_forward);
-        advance_batch_conditioned(&mut [&mut a, &mut b], toy_forward);
-        advance_batch_conditioned(&mut [&mut a, &mut b], toy_forward);
+        advance_batch(&mut [&mut a], toy_forward);
+        advance_batch(&mut [&mut a], toy_forward);
+        advance_batch(&mut [&mut a, &mut b], toy_forward);
+        advance_batch(&mut [&mut a, &mut b], toy_forward);
         assert!(a.is_done() && !b.is_done());
-        advance_batch_conditioned(&mut [&mut b, &mut c], toy_forward);
-        advance_batch_conditioned(&mut [&mut b, &mut c], toy_forward);
+        advance_batch(&mut [&mut b, &mut c], toy_forward);
+        advance_batch(&mut [&mut b, &mut c], toy_forward);
         assert!(b.is_done());
         while !c.is_done() {
-            advance_batch_conditioned(&mut [&mut c], toy_forward);
+            advance_batch(&mut [&mut c], toy_forward);
         }
 
         for (state, seed, cond) in [(a, 1u64, &conds[0]), (b, 2, &conds[1]), (c, 3, &conds[2])] {
-            let solo = ddim_sample_seeded_conditioned(
-                &sch,
-                [1, 4, 4],
-                &[seed],
-                params,
-                &[cond],
-                toy_forward,
-            );
+            let solo =
+                seeded_reference(&[seed], params, |x, t| eps_folded(toy_forward, x, t, &[cond]));
             assert_eq!(
                 state.into_result().data(),
                 solo.data(),
@@ -405,24 +479,11 @@ mod tests {
     }
 
     #[test]
-    fn uncond_states_step_identically_through_both_batch_kernels() {
-        let params = DdimParams { steps: 3, eta: 0.0, clip_x0: Some(1.0) };
-        let sch = schedule();
-        let mut via_eps = DdimStepState::new_seeded(&sch, [1, 4, 4], 5, params).unwrap();
-        let mut via_fold = DdimStepState::new_seeded(&sch, [1, 4, 4], 5, params).unwrap();
-        while !via_eps.is_done() {
-            advance_batch(&mut [&mut via_eps], |x, t| toy_forward(x, t, None));
-            advance_batch_conditioned(&mut [&mut via_fold], toy_forward);
-        }
-        assert_eq!(via_eps.into_result().data(), via_fold.into_result().data());
-    }
-
-    #[test]
     #[should_panic(expected = "finished request")]
     fn advancing_a_finished_request_panics() {
         let params = DdimParams { steps: 1, eta: 0.0, clip_x0: None };
-        let mut s = DdimStepState::new_seeded(&schedule(), [1, 2, 2], 9, params).unwrap();
-        let e = Tensor::zeros(&[1, 1, 2, 2]);
+        let mut s = uncond(&schedule(), 9, params);
+        let e = Tensor::zeros(&[1, 1, 4, 4]);
         s.advance(&e);
         s.advance(&e);
     }

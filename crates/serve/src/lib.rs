@@ -43,7 +43,10 @@
 //! never change what anyone else gets: a served image is byte-identical
 //! to the offline `DdimSim::generate_seeded(&[seed], steps, 1)` run —
 //! and a served `(seed, prompt)` to the offline
-//! `SdSim::generate_seeded(&[prompt], &[seed], steps, 1)` run.
+//! `SdSim::generate_seeded(&[prompt], &[seed], steps, 1)` run. Both
+//! sides sample through the same code: the scheduler sees a pipeline
+//! only through [`ServeModel`], the description each pipeline gives once
+//! in [`fpdq_diffusion::pipelines`] and offline generation uses too.
 //! Conditional models encode the prompt **once at admission** and fold
 //! the classifier-free-guidance double forward into the shared engine
 //! batch; see `docs/serving.md` for the conditioning contract.
@@ -54,7 +57,7 @@
 //! |--------------------------------|---------------------------------|---------------------|
 //! | malformed / non-JSON body      | that request                    | 400 `bad_request`   |
 //! | invalid seed/steps             | that request                    | 400 `invalid_argument` |
-//! | prompt/guidance on an unconditional model, or guidance without prompt | that request | 400 `invalid_argument` |
+//! | prompt/guidance on an unconditional model, guidance without prompt, or guidance not finite / above 1000 in magnitude | that request | 400 `invalid_argument` |
 //! | admission queue full           | that request                    | 429 `queue_full`    |
 //! | deadline expires               | that request, at a boundary     | 504 `deadline_exceeded` |
 //! | engine panic mid-step          | panicking request(s) only; survivors re-step solo, bit-identical | 500 `engine_panic` |
@@ -92,8 +95,9 @@ pub mod server;
 pub mod shared;
 
 pub use fault::FaultPlan;
+pub use fpdq_diffusion::ServeModel;
 pub use registry::{resolve, ModelBuilder, MODEL_NAMES};
-pub use scheduler::{Job, ReqError, ServeModel};
+pub use scheduler::{Job, ReqError};
 pub use server::{serve, ServeConfig, ServerHandle};
 pub use shared::{ServeShared, ServerState};
 

@@ -13,7 +13,7 @@
 //!    failure becomes a boot error that degrades the server instead of
 //!    killing it.
 
-use crate::scheduler::ServeModel;
+use crate::ServeModel;
 use fpdq_container::SimPipeline;
 use fpdq_diffusion::Zoo;
 use fpdq_tensor::FpdqError;

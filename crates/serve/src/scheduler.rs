@@ -10,7 +10,10 @@
 //! of its seed and conditioning (the [`fpdq_diffusion::stepper`]
 //! bit-identity contract), no matter who shares its batches — guided,
 //! direct-context and unconditional requests interleave freely in one
-//! folded engine batch.
+//! folded engine batch. The scheduler drives the same step state and
+//! batched advance as offline sampling, through the pipeline's
+//! [`ServeModel`] description (defined next to the pipelines in
+//! [`fpdq_diffusion::pipelines`]).
 //!
 //! # Panic isolation
 //!
@@ -24,9 +27,9 @@
 
 use crate::fault::FaultPlan;
 use crate::shared::{ServeShared, ServerState};
-use fpdq_diffusion::stepper::{advance_batch_conditioned, DdimStepState};
-use fpdq_diffusion::{Conditioning, DdimParams, DdimSim, LdmSim, NoiseSchedule, SdSim};
-use fpdq_tensor::{FpdqError, Tensor};
+use fpdq_diffusion::stepper::{advance_batch, DdimStepState};
+use fpdq_diffusion::{DdimParams, ServeModel};
+use fpdq_tensor::Tensor;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -36,121 +39,6 @@ use tokio::sync::{mpsc, oneshot};
 /// How long an idle scheduler blocks for new work before re-checking the
 /// lifecycle state.
 const IDLE_POLL: Duration = Duration::from_millis(20);
-
-/// What the serving layer needs from a pipeline. Implemented for the
-/// unconditional pipelines ([`DdimSim`], [`LdmSim`]) and the
-/// prompt-driven [`SdSim`]: conditioning is a first-class engine
-/// concept, so a request's prompt is encoded **once at admission** into
-/// a [`Conditioning`] the step state carries, and the CFG double forward
-/// folds into the shared engine batch
-/// ([`fpdq_diffusion::conditioning::eps_folded`]).
-pub trait ServeModel {
-    /// Sample dims `[c, h, w]` of the diffusion space.
-    fn chw(&self) -> [usize; 3];
-    /// The noise schedule (bounds the per-request `steps`).
-    fn schedule(&self) -> &NoiseSchedule;
-    /// `x_0` clamp during sampling (pixel pipelines clamp, latent don't).
-    fn clip_x0(&self) -> Option<f32>;
-    /// Batched noise prediction `ε(x, t, ctx)`; per-image timesteps,
-    /// optional per-row conditioning context.
-    fn eps(&self, x: &Tensor, t: &Tensor, ctx: Option<&Tensor>) -> Tensor;
-    /// Turns a request's `prompt`/`guidance` fields into the
-    /// [`Conditioning`] its step state will carry. Runs once, at
-    /// admission. Unconditional pipelines accept neither field; that is
-    /// the default implementation.
-    fn conditioning(
-        &self,
-        prompt: Option<&str>,
-        guidance: Option<f32>,
-    ) -> Result<Conditioning, FpdqError> {
-        if prompt.is_some() || guidance.is_some() {
-            return Err(FpdqError::invalid(
-                "this model is unconditional: 'prompt' and 'guidance' are not supported",
-            ));
-        }
-        Ok(Conditioning::Uncond)
-    }
-    /// Maps a finished `x_0` `[1, c, h, w]` to the served image (clamp /
-    /// decode).
-    fn finish(&self, x: &Tensor) -> Tensor;
-}
-
-impl ServeModel for DdimSim {
-    fn chw(&self) -> [usize; 3] {
-        [self.channels, self.image_size, self.image_size]
-    }
-    fn schedule(&self) -> &NoiseSchedule {
-        &self.schedule
-    }
-    fn clip_x0(&self) -> Option<f32> {
-        Some(1.0)
-    }
-    fn eps(&self, x: &Tensor, t: &Tensor, _ctx: Option<&Tensor>) -> Tensor {
-        self.unet.forward(x, t, None)
-    }
-    fn finish(&self, x: &Tensor) -> Tensor {
-        x.clamp(-1.0, 1.0)
-    }
-}
-
-impl ServeModel for LdmSim {
-    fn chw(&self) -> [usize; 3] {
-        [self.latent_channels, self.latent_size, self.latent_size]
-    }
-    fn schedule(&self) -> &NoiseSchedule {
-        &self.schedule
-    }
-    fn clip_x0(&self) -> Option<f32> {
-        None
-    }
-    fn eps(&self, x: &Tensor, t: &Tensor, _ctx: Option<&Tensor>) -> Tensor {
-        self.unet.forward(x, t, None)
-    }
-    fn finish(&self, x: &Tensor) -> Tensor {
-        self.decode_scaled(x)
-    }
-}
-
-impl ServeModel for SdSim {
-    fn chw(&self) -> [usize; 3] {
-        [self.latent_channels, self.latent_size, self.latent_size]
-    }
-    fn schedule(&self) -> &NoiseSchedule {
-        &self.schedule
-    }
-    fn clip_x0(&self) -> Option<f32> {
-        None
-    }
-    fn eps(&self, x: &Tensor, t: &Tensor, ctx: Option<&Tensor>) -> Tensor {
-        self.unet.forward(x, t, ctx)
-    }
-    fn conditioning(
-        &self,
-        prompt: Option<&str>,
-        guidance: Option<f32>,
-    ) -> Result<Conditioning, FpdqError> {
-        // The text encoder runs full-precision (as offline: the paper
-        // quantizes only the U-Net), once per request. The null context
-        // is prompt-independent but cheap at n = 1; re-encoding it here
-        // keeps the model immutable across requests.
-        match prompt {
-            Some(p) => {
-                let cond = self.encode_prompts(&[p.to_string()]);
-                let g = guidance.unwrap_or(self.guidance);
-                Ok(Conditioning::guided(cond, self.null_context(1), g))
-            }
-            None if guidance.is_some() => {
-                Err(FpdqError::invalid("'guidance' requires a 'prompt' to guide towards"))
-            }
-            // A prompt-less request on a conditional model samples the
-            // null context — the model's own unconditional distribution.
-            None => Ok(Conditioning::Direct(self.null_context(1))),
-        }
-    }
-    fn finish(&self, x: &Tensor) -> Tensor {
-        self.decode_scaled(x)
-    }
-}
 
 /// Typed failure handed back through a request's response channel.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -383,7 +271,7 @@ fn step_group(model: &dyn ServeModel, fault: &FaultPlan, group: &mut [&mut Activ
         }
     }
     let mut states: Vec<&mut DdimStepState> = group.iter_mut().map(|r| &mut r.state).collect();
-    advance_batch_conditioned(&mut states, |x, t, ctx| model.eps(x, t, ctx));
+    advance_batch(&mut states, |x, t, ctx| model.eps(x, t, ctx));
 }
 
 /// One isolated engine step: the batched fast path, then — only on panic

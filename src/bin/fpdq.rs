@@ -12,6 +12,7 @@
 //! ```
 
 use fpdq::data::ppm::{image_grid, save_ppm};
+use fpdq::diffusion::pipelines::per_image_seeds;
 use fpdq::prelude::*;
 use fpdq::quant::sparsity::weight_sparsity;
 use fpdq::tensor::Tensor;
@@ -305,39 +306,19 @@ impl Pipeline {
         }
     }
 
+    /// `count` images from per-image seeds drawn from the master `seed`.
     fn generate(&self, count: usize, prompt: Option<&str>, seed: u64, batch: usize) -> Tensor {
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Clamp to the schedule: container-loaded models may carry
-        // shorter schedules than the zoo defaults.
-        match self {
-            Pipeline::Ddim(p) => {
-                let steps = 25.min(p.schedule.steps());
-                p.generate_batched(count, steps, batch, &mut rng)
-            }
-            Pipeline::Ldm(p) => {
-                let steps = 25.min(p.schedule.steps());
-                p.generate_batched(count, steps, batch, &mut rng)
-            }
-            Pipeline::Sd(p) => {
-                let prompts: Vec<String> = match prompt {
-                    Some(text) => vec![text.to_string(); count],
-                    None => {
-                        let all = CaptionedScenes::all_captions();
-                        (0..count).map(|i| all[i % all.len()].clone()).collect()
-                    }
-                };
-                let steps = 20.min(p.schedule.steps());
-                p.generate_batched(&prompts, steps, batch, &mut rng)
-            }
-        }
+        let seeds = per_image_seeds(count, &mut StdRng::seed_from_u64(seed));
+        self.generate_seeded(&seeds, prompt, batch)
     }
 
-    /// [`Self::generate`] with explicit per-image seeds — the same seed
-    /// list reproduces the same bytes, offline or served.
+    /// One image per seed — the same seed list reproduces the same bytes,
+    /// offline or served. The pipelines clamp the step counts to the
+    /// schedule, which may be shorter in container-loaded models.
     fn generate_seeded(&self, seeds: &[u64], prompt: Option<&str>, batch: usize) -> Tensor {
         match self {
-            Pipeline::Ddim(p) => p.generate_seeded(seeds, 25.min(p.schedule.steps()), batch),
-            Pipeline::Ldm(p) => p.generate_seeded(seeds, 25.min(p.schedule.steps()), batch),
+            Pipeline::Ddim(p) => p.generate_seeded(seeds, 25, batch),
+            Pipeline::Ldm(p) => p.generate_seeded(seeds, 25, batch),
             Pipeline::Sd(p) => {
                 let prompts: Vec<String> = match prompt {
                     Some(text) => vec![text.to_string(); seeds.len()],
@@ -346,7 +327,7 @@ impl Pipeline {
                         (0..seeds.len()).map(|i| all[i % all.len()].clone()).collect()
                     }
                 };
-                p.generate_seeded(&prompts, seeds, 20.min(p.schedule.steps()), batch)
+                p.generate_seeded(&prompts, seeds, 20, batch)
             }
         }
     }

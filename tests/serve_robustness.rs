@@ -571,6 +571,34 @@ fn prompt_payload_errors_get_typed_400s_on_both_model_kinds() {
 }
 
 #[test]
+fn overflowing_guidance_gets_a_typed_400() {
+    // `1e39` narrows to `inf` on the `f64 → f32` cast, and `3.0e38` is
+    // finite but overflows the guidance mix; either used to sample an
+    // all-NaN image with status 200. Both are rejected at admission.
+    let handle = start_sd(ServeConfig::default());
+    let addr = handle.addr();
+    wait_ready(addr);
+    for g in ["1e39", "-1e39", "3.0e38"] {
+        let bad = format!(r#"{{"seed": 1, "steps": 4, "prompt": "a red ball", "guidance": {g}}}"#);
+        let (status, body) = client::post_json(addr, "/v1/generate", &bad).unwrap();
+        assert_eq!(status, 400, "{bad} -> {body}");
+        assert_eq!(error_body(&body).code, "invalid_argument", "{bad}");
+    }
+    // The largest accepted scale still serves finite pixels.
+    let (status, body) = client::post_json(
+        addr,
+        "/v1/generate",
+        r#"{"seed": 2, "steps": 3, "prompt": "a red ball in a dark room", "guidance": 1000}"#,
+    )
+    .unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert!(sd_served_pixels(&body).iter().all(|&b| f32::from_bits(b).is_finite()));
+    let h = healthz(addr);
+    assert_eq!((h.completed, h.failed), (1, 0));
+    handle.shutdown();
+}
+
+#[test]
 fn metrics_on_a_healthy_server_tracks_the_counters() {
     let handle = start(ServeConfig::default());
     let addr = handle.addr();
